@@ -10,6 +10,7 @@ from .dp import (
     good_anchor,
     rooted_counts,
     vertex_view,
+    vertex_views,
 )
 from .enumeration import (
     canonical_form,
@@ -27,7 +28,9 @@ from .tree import (
     diameter,
     is_series_reduced,
     leaf_deleted,
+    orient,
     parse_tree,
+    parse_trees,
     serialize,
 )
 from .verify import check_stpoly, run_checks
@@ -40,7 +43,8 @@ __all__ = [
     "c_sequence", "canonical_form", "check_stpoly", "classify_vertices",
     "density_sweep", "diameter", "edge_counts", "enumerate_subtrees",
     "enumerate_trees", "global_stats", "good_anchor", "is_series_reduced",
-    "leaf_deleted", "make_family", "oracle_stats", "parse_tree",
-    "rank_lower_bound", "rank_profile", "rooted_counts", "run_checks",
-    "sample_series_reduced", "serialize", "simple_lower_bound", "vertex_view",
+    "leaf_deleted", "make_family", "oracle_stats", "orient", "parse_tree",
+    "parse_trees", "rank_lower_bound", "rank_profile", "rooted_counts",
+    "run_checks", "sample_series_reduced", "serialize", "simple_lower_bound",
+    "vertex_view", "vertex_views",
 ]

@@ -3,24 +3,54 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Tuple
 
 from . import dp, enumeration, families, oracle, verify
 from .rationals import format_ratio, to_decimal
-from .tree import ParseError, Tree, TreeError, parse_tree, serialize
+from .tree import BLOCK_SEPARATOR, Tree, TreeError, parse_trees, serialize
 
-BLOCK_SEPARATOR = "---"
+
+class UsageError(Exception):
+    """Arguments that parse but contradict each other or their own range."""
 
 
 def _parse_range(text: str) -> Tuple[int, int]:
-    """'A..B' -> (A, B); a bare integer N -> (N, N)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+    """'A..B' with A <= B -> (A, B); a bare integer N -> (N, N)."""
+    lo, sep, hi = text.partition("..")
+    try:
+        bounds = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise UsageError(f"expected N or A..B, got {text!r}") from None
+    if bounds[0] > bounds[1]:
+        raise UsageError(f"empty range {text!r}: {bounds[0]} > {bounds[1]}")
+    return bounds
+
+
+def _parse_size(text: str) -> int:
+    """A single size: N, or A..B with A == B."""
+    lo, hi = _parse_range(text)
+    if lo != hi:
+        raise UsageError(f"expected one size, got the range {text!r}")
+    return lo
+
+
+def _parse_sweep(text: str) -> Tuple[str, Tuple[int, int]]:
+    """'r=1..20' -> ('r', (1, 20))."""
+    name, eq, rng = text.partition("=")
+    if not eq or not name.strip():
+        raise UsageError(f"bad sweep {text!r}, expected name=A..B")
+    return name.strip(), _parse_range(rng)
+
+
+def _count(text: str) -> int:
+    """argparse type of --count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_params(text: str) -> dict:
@@ -38,9 +68,7 @@ def _parse_params(text: str) -> dict:
 
 def _load_trees(path: str) -> List[Tree]:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    blocks = [b for b in text.split(BLOCK_SEPARATOR) if b.strip()]
-    return [parse_tree(b) for b in blocks]
+        return parse_trees(fh.read())
 
 
 def _emit(out, text: str):
@@ -49,10 +77,14 @@ def _emit(out, text: str):
         out.write("\n")
 
 
-def _open_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8"), True
-    return sys.stdout, False
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, opened for writing and closed afterwards, or stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _stats_text(stats: dp.SubtreeStats, digits: int) -> str:
@@ -72,22 +104,17 @@ def _stats_text(stats: dp.SubtreeStats, digits: int) -> str:
 def cmd_stats(args) -> int:
     tree = _load_trees(args.tree)[0]
     stats = dp.global_stats(tree)
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.format == "json":
             _emit(out, json.dumps(stats.to_json_dict(), sort_keys=True, indent=2))
         else:
             out.write(_stats_text(stats, args.decimals))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_oracle(args) -> int:
     tree = _load_trees(args.tree)[0]
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.dump:
             for line in oracle.dump_subsets(tree):
                 _emit(out, line)
@@ -103,25 +130,21 @@ def cmd_oracle(args) -> int:
             return 1
         _emit(out, "agreement=ok")
         return 0
-    finally:
-        if close:
-            out.close()
 
 
 def _family_spec(args) -> families.FamilySpec:
     if not args.family:
-        raise TreeError("--family NAME is required")
+        raise UsageError("--family NAME is required")
     return families.FamilySpec(args.family, _parse_params(args.params or ""))
 
 
 def cmd_family(args) -> int:
     spec = _family_spec(args)
-    out, close = _open_out(args)
-    try:
-        if args.sweep:
-            name, _, rng = args.sweep.partition("=")
-            lo, hi = _parse_range(rng)
-            points = families.density_sweep(spec, name.strip(), range(lo, hi + 1))
+    sweep = _parse_sweep(args.sweep) if args.sweep else None
+    with _output(args) as out:
+        if sweep:
+            name, (lo, hi) = sweep
+            points = families.density_sweep(spec, name, range(lo, hi + 1))
             if args.format == "json":
                 _emit(out, json.dumps([{
                     "param": p.param_value, "n": p.n, "leaves": p.leaves,
@@ -133,77 +156,60 @@ def cmd_family(args) -> int:
                 families.write_sweep_csv(points, out, digits=args.decimals)
         else:
             out.write(serialize(families.make_family(spec)))
-        return 0
-    finally:
-        if close:
-            out.close()
+    return 0
+
+
+def _enumerated(args):
+    lo, hi = _parse_range(args.n)
+    return (t for n in range(lo, hi + 1)
+            for t in enumeration.enumerate_trees(n, series_reduced=args.series_reduced))
+
+
+def _sampled(args):
+    n = _parse_size(args.n)
+    return (enumeration.sample_series_reduced(n, args.seed + i) for i in range(args.count))
+
+
+def _write_trees(args, trees) -> int:
+    with _output(args) as out:
+        for i, tree in enumerate(trees):
+            if i:
+                _emit(out, BLOCK_SEPARATOR)
+            out.write(serialize(tree))
+    return 0
 
 
 def cmd_enumerate(args) -> int:
-    lo, hi = _parse_range(args.n)
-    out, close = _open_out(args)
-    try:
-        first = True
-        for n in range(lo, hi + 1):
-            for tree in enumeration.enumerate_trees(n, series_reduced=args.series_reduced):
-                if not first:
-                    _emit(out, BLOCK_SEPARATOR)
-                out.write(serialize(tree))
-                first = False
-        return 0
-    finally:
-        if close:
-            out.close()
+    return _write_trees(args, _enumerated(args))
 
 
 def cmd_sample(args) -> int:
-    lo, _ = _parse_range(args.n)
-    out, close = _open_out(args)
-    try:
-        for i in range(args.count):
-            if i:
-                _emit(out, BLOCK_SEPARATOR)
-            out.write(serialize(enumeration.sample_series_reduced(lo, args.seed + i)))
-        return 0
-    finally:
-        if close:
-            out.close()
+    return _write_trees(args, _sampled(args))
 
 
 def cmd_cseq(args) -> int:
-    out, close = _open_out(args)
-    try:
-        from .ranks import c_sequence
+    from .ranks import c_sequence
+    with _output(args) as out:
         for j, c in enumerate(c_sequence(args.count)):
             _emit(out, f"{j} {format_ratio(c)} {to_decimal(c, 15)}")
-        return 0
-    finally:
-        if close:
-            out.close()
+    return 0
 
 
 def _verify_trees(args):
+    """The tree stream of `verify`; its arguments are checked before it starts."""
     if args.source == "enum":
-        lo, hi = _parse_range(args.n)
-        for n in range(lo, hi + 1):
-            yield from enumeration.enumerate_trees(n, series_reduced=args.series_reduced)
-    elif args.source == "sample":
-        lo, _ = _parse_range(args.n)
-        for i in range(args.count):
-            yield enumeration.sample_series_reduced(lo, args.seed + i)
-    elif args.source == "family":
+        return _enumerated(args)
+    if args.source == "sample":
+        return _sampled(args)
+    if args.source == "family":
         spec = _family_spec(args)
-        if args.sweep:
-            name, _, rng = args.sweep.partition("=")
-            lo, hi = _parse_range(rng)
-            for v in range(lo, hi + 1):
-                yield families.make_family(spec.with_param(name.strip(), v))
-        else:
-            yield families.make_family(spec)
-    elif args.source == "file":
-        yield from _load_trees(args.tree)
-    else:
-        raise TreeError(f"unknown source {args.source!r}")
+        if not args.sweep:
+            return [families.make_family(spec)]
+        name, (lo, hi) = _parse_sweep(args.sweep)
+        return (families.make_family(spec.with_param(name, v)) for v in range(lo, hi + 1))
+    if not args.tree:
+        raise UsageError("--source file needs --tree")
+    return _load_trees(args.tree)
 
 
 def cmd_verify(args) -> int:
@@ -217,18 +223,14 @@ def cmd_verify(args) -> int:
         "count": args.count,
     }
     report = verify.run_checks(_verify_trees(args), checks, config=config)
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.format == "json":
             _emit(out, report.to_json())
         else:
             for line in report.summary_lines():
                 _emit(out, line)
             _emit(out, "result=" + ("pass" if report.passed else "FAIL"))
-        return 0 if report.passed else 1
-    finally:
-        if close:
-            out.close()
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,9 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact subtree-count and mean-subtree-order invariants of trees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tree=False, family=False, n=False, seed=False, count=None):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--decimals", type=int, default=12)
+    def add(name, help_text, run, formats=(), decimals=False, tree=False, family=False,
+            n_help=None, seed=False, count=None):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        if decimals:
+            p.add_argument("--decimals", type=int, default=12)
         p.add_argument("--out", default=None)
         if tree:
             p.add_argument("--tree", required=True, help="tree file path")
@@ -247,56 +254,45 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--family", choices=families.FAMILY_NAMES)
             p.add_argument("--params", default="", help="e.g. k=3,r=2")
             p.add_argument("--sweep", default=None, help="e.g. r=1..20")
-        if n:
-            p.add_argument("--n", required=True, help="N or A..B")
+        if n_help:
+            p.add_argument("--n", required=True, help=n_help)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if count is not None:
-            p.add_argument("--count", type=int, default=count)
+            p.add_argument("--count", type=_count, default=count)
+        return p
 
-    common(sub.add_parser("stats", help="exact per-tree invariants"), tree=True)
-    p = sub.add_parser("oracle", help="brute-force cross-check")
-    common(p, tree=True)
+    text_json = ("text", "json")
+    add("stats", "exact per-tree invariants", cmd_stats,
+        formats=text_json, decimals=True, tree=True)
+    p = add("oracle", "brute-force cross-check", cmd_oracle,
+            formats=text_json, decimals=True, tree=True)
     p.add_argument("--dump", action="store_true", help="list subtrees one per line")
-
-    common(sub.add_parser("family", help="build a family member or sweep"), family=True)
-
-    p = sub.add_parser("enumerate", help="all free trees up to isomorphism")
-    common(p, n=True)
+    add("family", "build a family member or sweep", cmd_family,
+        formats=("csv", "json"), decimals=True, family=True)
+    p = add("enumerate", "all free trees up to isomorphism", cmd_enumerate, n_help="N or A..B")
     p.add_argument("--series-reduced", action="store_true")
-
-    common(sub.add_parser("sample", help="random series-reduced trees"),
-           n=True, seed=True, count=1)
-
-    common(sub.add_parser("cseq", help="coefficient sequence c_j"), count=6)
-
-    p = sub.add_parser("verify", help="run inequality checks over a tree stream")
-    common(p, family=True, seed=True, count=200)
+    add("sample", "random series-reduced trees", cmd_sample,
+        n_help="N, the least vertex count", seed=True, count=1)
+    add("cseq", "coefficient sequence c_j", cmd_cseq, count=6)
+    p = add("verify", "run inequality checks over a tree stream", cmd_verify,
+            formats=text_json, family=True, seed=True, count=200)
     p.add_argument("--source", choices=("enum", "sample", "family", "file"), required=True)
-    p.add_argument("--n", default="4..12", help="N or A..B (enum range / sample target)")
+    p.add_argument("--n", default="4..12", help="A..B for enum, N for sample")
     p.add_argument("--series-reduced", action="store_true")
     p.add_argument("--tree", default=None, help="tree file for --source file")
     p.add_argument("--checks", default=",".join(verify.ALL_CHECKS))
     return parser
 
 
-_DISPATCH = {
-    "stats": cmd_stats,
-    "oracle": cmd_oracle,
-    "family": cmd_family,
-    "enumerate": cmd_enumerate,
-    "sample": cmd_sample,
-    "cseq": cmd_cseq,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except (TreeError, ParseError, ValueError, OSError) as exc:
+        return args.run(args)
+    except UsageError as exc:
+        parser.error(str(exc))  # exits with code 2
+    except (TreeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,18 +1,21 @@
 """Exact subtree-count and mean-order invariants via rooted DP with rerooting.
 
 All counts are Python ints (arbitrary precision) and all averages are
-Fractions in lowest terms.  Cross-child products use prefix/suffix products
-so no big-integer division ever occurs.
+Fractions in lowest terms.  A down pass from a root folds each child into
+its parent; a top-down pass then moves the root across each edge (u, c).
+Its divisions are exact: with f = down_count[c] + 1, alpha(u) = f*a and
+sigma(u) = f*b + a*down_sum[c], where a subtrees with order sum b contain u
+but not c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .rationals import ratio_json
-from .tree import Tree, TreeError
+from .tree import Tree, TreeError, orient
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,25 @@ class SubtreeStats:
     mu_prime: Optional[Fraction]
     s_prime_count: Optional[int]
     s_prime_order_sum: Optional[int]
+
+    @classmethod
+    def from_totals(cls, tree: Tree, total: int, containment) -> "SubtreeStats":
+        """Stats from N(T) and alpha(T, v) per vertex.
+
+        The order sum is sum_v alpha(T, v), each subtree counted once per
+        vertex.  S' adds the empty set and drops the leaf singletons; it is
+        undefined for the one-vertex tree.
+        """
+        containment = tuple(containment)
+        order_sum = sum(containment)
+        mu = Fraction(order_sum, total)
+        mu_prime = spc = sps = None
+        if tree.n > 1:
+            leaf_count = sum(1 for a in tree.adj if len(a) == 1)
+            spc, sps = total - leaf_count + 1, order_sum - leaf_count
+            mu_prime = Fraction(sps, spc)
+        return cls(tree.n, total, order_sum, containment, mu, mu / tree.n,
+                   mu_prime, spc, sps)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -62,53 +84,43 @@ class VertexSubtreeView:
     lambda_bar: Optional[Fraction]
 
 
-def _orient(tree: Tree, root: int):
-    """Parent array, preorder list and children lists for `tree` rooted at `root`."""
-    n = tree.n
-    parent = [-2] * n
-    parent[root] = -1
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in tree.adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    # `order` above is DFS discovery order, already topological from the root
-    children = [[] for _ in range(n)]
-    for u in order[1:]:
-        children[parent[u]].append(u)
-    return parent, order, children
-
-
-def _down_pass(tree: Tree, root: int):
+def _down_pass(tree: Tree, root: int, sums: bool = True):
     """Bottom-up counts: subtrees of the branch below u that contain u.
 
-    down_count[u] = prod over children c of (down_count[c]+1);
-    down_sum[u]   = down_count[u] + sum_c down_sum[c] * prod_{c'!=c}(down_count[c']+1).
+    Each child c folds into its parent p with f = down_count[c] + 1:
+    down_sum[p] = down_sum[p]*f + down_count[p]*down_sum[c], down_count[p] *= f.
+    down_sum is None when `sums` is false.
     """
-    _, order, children = _orient(tree, root)
-    n = tree.n
-    down_count = [1] * n
-    down_sum = [1] * n
-    for u in reversed(order):
-        ch = children[u]
-        if not ch:
-            continue
-        factors = [down_count[c] + 1 for c in ch]
-        suffix = [1] * (len(ch) + 1)
-        for i in range(len(ch) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * factors[i]
-        cross = 0
-        prefix = 1
-        for i, c in enumerate(ch):
-            cross += down_sum[c] * prefix * suffix[i + 1]
-            prefix *= factors[i]
-        down_count[u] = prefix            # prefix now holds the full product
-        down_sum[u] = prefix + cross
-    return order, children, down_count, down_sum
+    parent, order = orient(tree, root)
+    down_count = [1] * tree.n
+    down_sum = [1] * tree.n if sums else None
+    for c in order[:0:-1]:
+        p = parent[c]
+        f = down_count[c] + 1
+        if sums:
+            down_sum[p] = down_sum[p] * f + down_count[p] * down_sum[c]
+        down_count[p] *= f
+    return parent, order, down_count, down_sum
+
+
+def _top_down(parent, order, down_count, down_sum=None):
+    """alpha(v) for every v, and sigma(v) (order sum over them) if down_sum is given.
+
+    Over an edge (u, c) with f = down_count[c] + 1, a = alpha(u) // f
+    subtrees contain u but not c; they have order sum
+    b = (sigma(u) - a*down_sum[c]) // f.
+    """
+    alpha = list(down_count)
+    sigma = None if down_sum is None else list(down_sum)
+    for c in order[1:]:
+        u = parent[c]
+        f = down_count[c] + 1
+        a = alpha[u] // f
+        alpha[c] = down_count[c] * (a + 1)
+        if sigma is not None:
+            b = (sigma[u] - a * down_sum[c]) // f
+            sigma[c] = down_sum[c] * (a + 1) + down_count[c] * b
+    return alpha, sigma
 
 
 def rooted_counts(tree: Tree, root: int) -> RootedCounts:
@@ -127,86 +139,54 @@ def rooted_counts(tree: Tree, root: int) -> RootedCounts:
 
 
 def all_containment_counts(tree: Tree) -> Tuple[int, ...]:
-    """alpha(T, v) for every vertex v, via one down-pass and one rerooting pass.
-
-    For a child c of u, the subtrees containing c split into a part below c
-    (down_count[c] choices) and an optional part through u; the latter has
-    up[c] = U[u] * prod_{siblings s}(down_count[s]+1) choices, and we track
-    U[v] = up[v] + 1 with U[root] = 1.  alpha(v) = down_count[v] * U[v].
-    """
-    order, children, down_count, _ = _down_pass(tree, 0)
-    n = tree.n
-    U = [1] * n
-    for u in order:
-        ch = children[u]
-        if not ch:
-            continue
-        factors = [down_count[c] + 1 for c in ch]
-        suffix = [1] * (len(ch) + 1)
-        for i in range(len(ch) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * factors[i]
-        prefix = 1
-        for i, c in enumerate(ch):
-            U[c] = U[u] * prefix * suffix[i + 1] + 1
-            prefix *= factors[i]
-    return tuple(down_count[v] * U[v] for v in range(n))
+    """alpha(T, v) for every vertex v."""
+    return global_stats(tree).containment
 
 
 def global_stats(tree: Tree) -> SubtreeStats:
     """All global subtree aggregates of one tree, as exact values."""
-    _, _, down_count, _ = _down_pass(tree, 0)
-    total = sum(down_count)  # each subtree counted at its vertex nearest the root
-    containment = all_containment_counts(tree)
-    order_sum = sum(containment)
-    mu = Fraction(order_sum, total)
-    if tree.n == 1:
-        return SubtreeStats(1, total, order_sum, containment, mu, mu, None, None, None)
-    leaf_count = sum(1 for v in range(tree.n) if tree.degree(v) == 1)
-    spc = total - leaf_count + 1
-    sps = order_sum - leaf_count
-    return SubtreeStats(
-        n=tree.n,
-        subtree_count=total,
-        order_sum=order_sum,
-        containment=containment,
-        mu=mu,
-        density=mu / tree.n,
-        mu_prime=Fraction(sps, spc),
-        s_prime_count=spc,
-        s_prime_order_sum=sps,
-    )
+    parent, order, down_count, _ = _down_pass(tree, 0, sums=False)
+    alpha, _ = _top_down(parent, order, down_count)
+    # each subtree is counted once, at its vertex nearest the root
+    return SubtreeStats.from_totals(tree, sum(down_count), alpha)
+
+
+def vertex_views(tree: Tree, stats: Optional[SubtreeStats] = None) -> List[VertexSubtreeView]:
+    """alpha, lambda and the complementary averages at every vertex."""
+    parent, order, down_count, down_sum = _down_pass(tree, 0)
+    alpha, sigma = _top_down(parent, order, down_count, down_sum)
+    if stats is None:
+        total, order_sum = sum(down_count), sum(down_sum)
+    else:
+        total, order_sum = stats.subtree_count, stats.order_sum
+    views = []
+    for v in range(tree.n):
+        alpha_bar = total - alpha[v]
+        lambda_bar = Fraction(order_sum - sigma[v], alpha_bar) if alpha_bar else None
+        views.append(VertexSubtreeView(v, alpha[v], alpha_bar,
+                                       Fraction(sigma[v], alpha[v]), lambda_bar))
+    return views
 
 
 def vertex_view(tree: Tree, v: int, stats: Optional[SubtreeStats] = None) -> VertexSubtreeView:
     """alpha, lambda and the complementary averages at one vertex."""
-    rc = rooted_counts(tree, v)
-    if stats is None:
-        stats = global_stats(tree)
-    alpha = rc.alpha_root
-    alpha_bar = stats.subtree_count - alpha
-    lam = Fraction(rc.down_sum[v], alpha)
-    if alpha_bar == 0:
-        lambda_bar = None
-    else:
-        lambda_bar = Fraction(stats.order_sum - rc.down_sum[v], alpha_bar)
-    return VertexSubtreeView(v, alpha, alpha_bar, lam, lambda_bar)
+    return vertex_views(tree, stats)[v]
 
 
 def edge_counts(tree: Tree, edge: Tuple[int, int]) -> Tuple[int, int]:
     """(alpha_e, alpha_bar_e) for an edge e = {u, v}.
 
-    alpha_e = alpha(T1, u) * alpha(T2, v) where T1, T2 are the components
-    of T - e; everything not containing e lives in one component.
+    Rooted at u, down_count[v] counts the subtrees of the v-side containing
+    v, and down_count[u] // (down_count[v] + 1) those of the u-side
+    containing u; alpha_e is their product.
     """
     u, v = edge
     e = (u, v) if u < v else (v, u)
     if e not in tree.edges:
         raise TreeError(f"{e} is not an edge of the tree")
-    rc_u = rooted_counts(tree, u)
-    rc_v = rooted_counts(tree, v)
-    # rooted at u, down_count[v] counts subtrees of the v-side containing v
-    alpha_e = rc_u.down_count[v] * rc_v.down_count[u]
-    return alpha_e, rc_u.total_count - alpha_e
+    _, _, down_count, _ = _down_pass(tree, u, sums=False)
+    alpha_e = down_count[v] * (down_count[u] // (down_count[v] + 1))
+    return alpha_e, sum(down_count) - alpha_e
 
 
 def good_anchor(tree: Tree, stats: Optional[SubtreeStats] = None) -> Optional[int]:

@@ -12,7 +12,7 @@ import heapq
 import random
 from typing import Iterator, List, Tuple
 
-from .tree import Tree, TreeError, is_series_reduced
+from .tree import Tree, TreeError, is_series_reduced, orient
 
 DEFAULT_ENUM_CAP = 18
 
@@ -54,22 +54,10 @@ def tree_from_level_sequence(levels: Tuple[int, ...]) -> Tree:
 def centroids(tree: Tree) -> List[int]:
     """The one or two vertices minimising the largest component of T - v."""
     n = tree.n
-    if n == 1:
-        return [0]
-    parent = [-2] * n
-    parent[0] = -1
-    order = [0]
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in tree.adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
+    parent, order = orient(tree, 0)
     size = [1] * n
     heavy = [0] * n  # size of the largest child subtree
-    for u in reversed(order[1:]):
+    for u in order[:0:-1]:
         p = parent[u]
         size[p] += size[u]
         if size[u] > heavy[p]:
@@ -88,20 +76,10 @@ def centroids(tree: Tree) -> List[int]:
 
 def _rooted_code(tree: Tree, root: int) -> tuple:
     """Nested-tuple AHU code of the tree rooted at `root` (iterative)."""
-    parent = [-2] * tree.n
-    parent[root] = -1
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in tree.adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
+    parent, order = orient(tree, root)
     codes: List[tuple] = [()] * tree.n
     kids = [[] for _ in range(tree.n)]
-    for u in reversed(order[1:]):
+    for u in order[:0:-1]:
         codes[u] = tuple(sorted(kids[u], reverse=True))
         kids[parent[u]].append(codes[u])
     codes[root] = tuple(sorted(kids[root], reverse=True))

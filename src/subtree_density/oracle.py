@@ -8,7 +8,6 @@ restricted to vertices > a.  Output size is linear in the number of subtrees.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import Iterator, List, Tuple
 
 from .dp import SubtreeStats
@@ -40,30 +39,12 @@ def enumerate_subtrees(tree: Tree, limit: int = DEFAULT_ORACLE_LIMIT) -> Iterato
 def oracle_stats(tree: Tree, limit: int = DEFAULT_ORACLE_LIMIT) -> SubtreeStats:
     """SubtreeStats recomputed by direct tallying over the enumeration."""
     total = 0
-    order_sum = 0
     containment = [0] * tree.n
     for s in enumerate_subtrees(tree, limit):
         total += 1
-        order_sum += len(s)
         for v in s:
             containment[v] += 1
-    mu = Fraction(order_sum, total)
-    if tree.n == 1:
-        return SubtreeStats(1, total, order_sum, tuple(containment), mu, mu, None, None, None)
-    leaf_count = sum(1 for v in range(tree.n) if tree.degree(v) == 1)
-    spc = total - leaf_count + 1
-    sps = order_sum - leaf_count
-    return SubtreeStats(
-        n=tree.n,
-        subtree_count=total,
-        order_sum=order_sum,
-        containment=tuple(containment),
-        mu=mu,
-        density=mu / tree.n,
-        mu_prime=Fraction(sps, spc),
-        s_prime_count=spc,
-        s_prime_order_sum=sps,
-    )
+    return SubtreeStats.from_totals(tree, total, containment)
 
 
 def oracle_vertex_profiles(tree: Tree, limit: int = DEFAULT_ORACLE_LIMIT) -> List[Tuple[int, int]]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .tree import Tree
+from .tree import Tree, orient
 
 # Ranks beyond 63 cannot occur below the enumeration cap, and c_j is within
 # 1e-15 of 1 long before j = 64.
@@ -38,24 +38,13 @@ def rank_profile(tree: Tree, root: int) -> RankProfile:
     A leaf (no children) has rank 0; any other vertex has rank one more
     than the maximum rank of its children.
     """
-    n = tree.n
-    parent = [-2] * n
-    parent[root] = -1
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in tree.adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    rank = [0] * n
-    for u in reversed(order[1:]):
+    parent, order = orient(tree, root)
+    rank = [0] * tree.n
+    for u in order[:0:-1]:
         p = parent[u]
         if p != root and rank[u] + 1 > rank[p]:
             rank[p] = rank[u] + 1
-    ranks = {v: rank[v] for v in range(n) if v != root}
+    ranks = {v: rank[v] for v in range(tree.n) if v != root}
     m = [0] * (max(ranks.values()) + 1) if ranks else []
     for r in ranks.values():
         m[r] += 1

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
+
+BLOCK_SEPARATOR = "---"
 
 
 class TreeError(ValueError):
@@ -90,17 +92,18 @@ class VertexClassification:
     per_twig_leaf_count: dict
 
 
-def parse_tree(text: str) -> Tree:
-    """Parse the tree file format: first line n, then n-1 lines "u v".
-
-    '#' starts a comment; blank lines are ignored.
-    """
-    n = None
-    edges = []
+def _content_lines(text: str):
+    """(line number, content) of each line that is not blank once its comment is cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, line
+
+
+def _parse_block(lines) -> Tree:
+    n = None
+    edges = []
+    for lineno, line in lines:
         fields = line.split()
         if n is None:
             if len(fields) != 1:
@@ -122,18 +125,57 @@ def parse_tree(text: str) -> Tree:
     return Tree(n, edges)
 
 
+def parse_tree(text: str) -> Tree:
+    """Parse the tree file format: first line n, then n-1 lines "u v".
+
+    '#' starts a comment; blank lines are ignored.
+    """
+    return _parse_block(_content_lines(text))
+
+
+def parse_trees(text: str) -> List[Tree]:
+    """Parse a file of trees in the `parse_tree` format, separated by `---` lines.
+
+    A separator is a line that reads exactly `---` once its comment is cut.
+    Error line numbers count from the start of the file.
+    """
+    blocks: List[list] = [[]]
+    for lineno, line in _content_lines(text):
+        if line == BLOCK_SEPARATOR:
+            blocks.append([])
+        else:
+            blocks[-1].append((lineno, line))
+    trees = [_parse_block(b) for b in blocks if b]
+    if not trees:
+        raise ParseError("empty input: no tree")
+    return trees
+
+
+def orient(tree: Tree, root: int) -> Tuple[List[int], List[int]]:
+    """Parent array (-1 at the root) and the depth-first discovery order from `root`.
+
+    Every vertex comes after its parent in that order, so walking it
+    forwards goes top-down and walking it backwards meets children first.
+    """
+    parent = [-2] * tree.n
+    parent[root] = -1
+    order = [root]
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in tree.adj[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                order.append(w)
+                stack.append(w)
+    return parent, order
+
+
 def serialize(tree: Tree) -> str:
     """Canonical text form; parse(serialize(t)) == t."""
     lines = [str(tree.n)]
     lines.extend(f"{u} {v}" for u, v in tree.edges)
     return "\n".join(lines) + "\n"
-
-
-def leaves(tree: Tree) -> list:
-    """Degree-1 vertices; the sole vertex of the one-vertex tree counts."""
-    if tree.n == 1:
-        return [0]
-    return [v for v in range(tree.n) if tree.degree(v) == 1]
 
 
 def classify_vertices(tree: Tree) -> VertexClassification:

@@ -26,13 +26,14 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, List, Optional, Sequence
 
-from .dp import global_stats, good_anchor, vertex_view
+from .dp import global_stats, good_anchor, vertex_view, vertex_views
 from .enumeration import canonical_form
 from .rationals import format_ratio
 from .ranks import rank_lower_bound, simple_lower_bound
-from .tree import Tree, is_series_reduced
+from .tree import Tree, classify_vertices, is_series_reduced
 
 ALL_CHECKS = ("C1", "C2", "C3", "C4", "C5", "C6",
               "C7", "C8", "C9", "C10", "C11", "C12")
@@ -41,38 +42,30 @@ STPOLY_DEFAULT_MAX = 64
 
 
 class _TreeContext:
-    """Lazy per-tree cache shared by all checks."""
+    """Lazy per-tree cache shared by all checks; each value is computed once."""
 
     def __init__(self, tree: Tree):
         self.tree = tree
-        self._stats = None
-        self._code = None
-        self._views: Dict[int, object] = {}
 
-    @property
+    @cached_property
     def stats(self):
-        if self._stats is None:
-            self._stats = global_stats(self.tree)
-        return self._stats
+        return global_stats(self.tree)
 
-    @property
+    @cached_property
     def code(self):
-        if self._code is None:
-            self._code = canonical_form(self.tree)
-        return self._code
+        return canonical_form(self.tree)
 
-    @property
+    @cached_property
     def series_reduced(self):
         return is_series_reduced(self.tree)
 
-    @property
+    @cached_property
     def internal(self):
-        return [v for v in range((self.tree.n)) if self.tree.degree(v) >= 2]
+        return [v for v in range(self.tree.n) if self.tree.degree(v) >= 2]
 
-    def view(self, v: int):
-        if v not in self._views:
-            self._views[v] = vertex_view(self.tree, v, self.stats)
-        return self._views[v]
+    @cached_property
+    def views(self):
+        return vertex_views(self.tree, self.stats)
 
 
 @dataclass
@@ -185,9 +178,7 @@ def _check_c5(ctx, out):
     if not ctx.series_reduced:
         return
     out.trees_applicable += 1
-    twigs = sum(
-        1 for v in ctx.internal
-        if sum(1 for w in ctx.tree.adj[v] if ctx.tree.degree(w) == 1) >= ctx.tree.degree(v) - 1)
+    twigs = len(classify_vertices(ctx.tree).twigs)
     bound = Fraction(3 * ctx.tree.n, 4) - Fraction(2 * twigs, 5)
     if not ctx.stats.mu < bound:
         out.violations.append(_witness(ctx, mu=ctx.stats.mu, twigs=twigs, bound=bound))
@@ -230,35 +221,30 @@ def _check_c9(ctx, out):
     if v is None:
         out.violations.append(_witness(ctx, anchor=None))
         return
-    gap = ctx.stats.mu - ctx.view(v).lam
+    gap = ctx.stats.mu - vertex_view(ctx.tree, v, ctx.stats).lam
     if not abs(gap) < 2:
         out.violations.append(_witness(ctx, anchor=v, gap=gap))
 
 
-def _check_c10(ctx, out):
+def _check_lambda_bound(ctx, out, lower_bound):
     if not ctx.series_reduced:
         return
     out.trees_applicable += 1
     for v in ctx.internal:
-        lam = ctx.view(v).lam
-        bound = simple_lower_bound(ctx.tree, v)
+        lam = ctx.views[v].lam
+        bound = lower_bound(ctx.tree, v)
         if lam < bound:
             out.violations.append(_witness(ctx, vertex=v, lam=lam, bound=bound))
         elif lam == bound:
             out.equality_cases.append(_witness(ctx, vertex=v, lam=lam))
+
+
+def _check_c10(ctx, out):
+    _check_lambda_bound(ctx, out, simple_lower_bound)
 
 
 def _check_c11(ctx, out):
-    if not ctx.series_reduced:
-        return
-    out.trees_applicable += 1
-    for v in ctx.internal:
-        lam = ctx.view(v).lam
-        bound = rank_lower_bound(ctx.tree, v)
-        if lam < bound:
-            out.violations.append(_witness(ctx, vertex=v, lam=lam, bound=bound))
-        elif lam == bound:
-            out.equality_cases.append(_witness(ctx, vertex=v, lam=lam))
+    _check_lambda_bound(ctx, out, rank_lower_bound)
 
 
 def _check_c12(ctx, out):

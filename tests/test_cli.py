@@ -121,3 +121,87 @@ def test_domain_error_exit_code(capsys, tmp_path):
     bad.write_text("3\n0 1\n1 2\n2 0\n")
     code, _, err = run(capsys, "stats", "--tree", str(bad))
     assert code == 1 and "error:" in err
+
+
+def usage_error(*argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
+
+
+def test_separator_inside_comment(capsys, tmp_path):
+    f = tmp_path / "p4.tree"
+    f.write_text("4\n0 1\n1 2 # --- note\n2 3\n")
+    code, out, _ = run(capsys, "stats", "--tree", str(f))
+    assert code == 0 and "subtrees=10" in out
+
+
+def test_parse_error_names_file_line(capsys, tmp_path):
+    f = tmp_path / "two.tree"
+    f.write_text("2\n0 1\n---\n3\n0 1\n1 x\n")
+    code, _, err = run(capsys, "verify", "--source", "file", "--tree", str(f),
+                       "--checks", "C1")
+    assert code == 1 and "line 6" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "4", "--format", "json"),
+    ("enumerate", "--n", "4", "--decimals", "3"),
+    ("sample", "--n", "20", "--format", "json"),
+    ("sample", "--n", "20", "--decimals", "3"),
+    ("cseq", "--format", "json"),
+    ("cseq", "--decimals", "3"),
+    ("verify", "--source", "enum", "--n", "4", "--decimals", "3"),
+    ("stats", "--tree", "t.tree", "--format", "csv"),
+    ("family", "--family", "path", "--sweep", "n=4..6", "--format", "text"),
+])
+def test_unread_flags_rejected(capsys, argv):
+    assert usage_error(*argv) == 2
+
+
+def test_family_sweep_json(capsys):
+    code, out, _ = run(capsys, "family", "--family", "path", "--sweep", "n=4..6",
+                       "--format", "json")
+    assert code == 0 and [p["n"] for p in json.loads(out)] == [4, 5, 6]
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "20", "--count", "-1"),
+    ("sample", "--n", "20", "--count", "0"),
+    ("cseq", "--count", "0"),
+])
+def test_count_below_one_rejected(capsys, argv):
+    assert usage_error(*argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "4.."),
+    ("enumerate", "--n", "x"),
+    ("enumerate", "--n", "6..4"),
+    ("family", "--family", "path", "--sweep", "n=6..4"),
+    ("verify", "--source", "enum", "--n", "6..4"),
+    ("verify", "--source", "family", "--family", "path", "--sweep", "n=6..4"),
+])
+def test_bad_or_reversed_range_rejected(capsys, argv):
+    assert usage_error(*argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "20..30"),
+    ("verify", "--source", "sample", "--n", "20..30", "--count", "1"),
+])
+def test_range_where_one_size_is_used_rejected(capsys, argv):
+    assert usage_error(*argv) == 2
+
+
+def test_verify_config_keeps_typed_n(capsys):
+    code, out, _ = run(capsys, "verify", "--source", "sample", "--n", "20..20",
+                       "--count", "1", "--checks", "C7", "--format", "json")
+    assert code == 0 and json.loads(out)["report"]["config"]["n"] == "20..20"
+
+
+def test_out_file(capsys, tmp_path):
+    target = tmp_path / "c.txt"
+    code, out, _ = run(capsys, "cseq", "--count", "2", "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text().splitlines()[1].startswith("1 3/5")

@@ -11,6 +11,7 @@ from subtree_density.dp import (
     good_anchor,
     rooted_counts,
     vertex_view,
+    vertex_views,
 )
 from subtree_density.oracle import (
     oracle_edge_counts,
@@ -135,6 +136,40 @@ class TestVertexView:
             view = vertex_view(t, u)
             assert view.alpha == alpha
             assert view.lam == Fraction(osum, alpha)
+
+
+class TestVertexViews:
+    @given(random_trees(9))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, t):
+        s = oracle_stats(t)
+        views = vertex_views(t)
+        assert views == vertex_views(t, s)
+        for view, (alpha, osum) in zip(views, oracle_vertex_profiles(t)):
+            assert view.alpha == alpha and view.alpha_bar == s.subtree_count - alpha
+            assert view.lam == Fraction(osum, alpha)
+            if view.alpha_bar:
+                assert view.lambda_bar == Fraction(s.order_sum - osum, view.alpha_bar)
+            else:
+                assert view.lambda_bar is None
+
+    def test_star_beyond_oracle_limit(self):
+        # closed forms for K_{1,m}; test_star_closed_forms pins them to the oracle
+        m = 200
+        views = vertex_views(star(m))
+        assert views[0].alpha == 2 ** m
+        assert views[0].lam == Fraction(2 ** m + m * 2 ** (m - 1), 2 ** m)
+        leaf_alpha, leaf_sigma = 2 ** (m - 1) + 1, 1 + 2 ** m + (m - 1) * 2 ** (m - 2)
+        for view in views[1:]:
+            assert view.alpha == leaf_alpha
+            assert view.lam == Fraction(leaf_sigma, leaf_alpha)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_star_closed_forms(self, m):
+        profiles = oracle_vertex_profiles(star(m))
+        assert profiles[0] == (2 ** m, 2 ** m + m * 2 ** (m - 1))
+        leaf = (2 ** (m - 1) + 1, 1 + 2 ** m + (m - 1) * 2 ** (m - 2))
+        assert profiles[1:] == [leaf] * m
 
 
 class TestEdgeCounts:

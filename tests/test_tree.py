@@ -10,7 +10,9 @@ from subtree_density.tree import (
     diameter,
     is_series_reduced,
     leaf_deleted,
+    orient,
     parse_tree,
+    parse_trees,
     serialize,
 )
 
@@ -78,6 +80,40 @@ class TestConstruction:
     @given(random_trees())
     def test_roundtrip_property(self, t):
         assert parse_tree(serialize(t)) == t
+
+
+class TestParseTrees:
+    def test_separator_inside_comment_is_text(self):
+        assert parse_trees("4\n0 1\n1 2 # --- note\n2 3\n") == [path(4)]
+
+    def test_blocks(self):
+        text = "# two trees\n2\n0 1\n  ---  # separator\n3\n0 1\n1 2\n---\n"
+        assert parse_trees(text) == [path(2), path(3)]
+
+    def test_error_line_counts_from_file_start(self):
+        with pytest.raises(ParseError, match="line 6"):
+            parse_trees("2\n0 1\n---\n3\n0 1\n1 x\n")
+
+    def test_empty_rejected(self):
+        with pytest.raises(ParseError, match="empty input"):
+            parse_trees("# nothing\n---\n")
+
+
+class TestOrient:
+    def test_path_rooted_inside(self):
+        parent, order = orient(path(4), 2)
+        assert parent == [1, 2, -1, 2]
+        assert order[0] == 2 and sorted(order) == [0, 1, 2, 3]
+
+    @given(random_trees(), st.data())
+    def test_parents_come_first(self, t, data):
+        root = data.draw(st.integers(0, t.n - 1))
+        parent, order = orient(t, root)
+        position = {v: i for i, v in enumerate(order)}
+        assert order[0] == root and parent[root] == -1
+        assert sorted(order) == list(range(t.n))
+        for v in order[1:]:
+            assert v in t.adj[parent[v]] and position[parent[v]] < position[v]
 
 
 class TestClassification:
