@@ -213,6 +213,10 @@ def _verify_trees(args):
 
 
 def cmd_verify(args) -> int:
+    if args.n is None:
+        if args.source == "sample":
+            raise UsageError("--source sample needs --n N")
+        args.n = "4..12"
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     config = {
         "source": args.source,
@@ -278,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", "run inequality checks over a tree stream", cmd_verify,
             formats=text_json, family=True, seed=True, count=200)
     p.add_argument("--source", choices=("enum", "sample", "family", "file"), required=True)
-    p.add_argument("--n", default="4..12", help="A..B for enum, N for sample")
+    p.add_argument("--n", default=None,
+                   help="A..B for enum (default 4..12); N for sample, where it is required")
     p.add_argument("--series-reduced", action="store_true")
     p.add_argument("--tree", default=None, help="tree file for --source file")
     p.add_argument("--checks", default=",".join(verify.ALL_CHECKS))

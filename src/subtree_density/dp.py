@@ -126,16 +126,8 @@ def _top_down(parent, order, down_count, down_sum=None):
 def rooted_counts(tree: Tree, root: int) -> RootedCounts:
     """Root-anchored subtree counts and order sums for every vertex."""
     _, _, down_count, down_sum = _down_pass(tree, root)
-    total = sum(down_count)
-    alpha = down_count[root]
-    return RootedCounts(
-        root=root,
-        down_count=tuple(down_count),
-        down_sum=tuple(down_sum),
-        alpha_root=alpha,
-        alpha_bar_root=total - alpha,
-        total_count=total,
-    )
+    total, alpha = sum(down_count), down_count[root]
+    return RootedCounts(root, tuple(down_count), tuple(down_sum), alpha, total - alpha, total)
 
 
 def all_containment_counts(tree: Tree) -> Tuple[int, ...]:
@@ -151,26 +143,28 @@ def global_stats(tree: Tree) -> SubtreeStats:
     return SubtreeStats.from_totals(tree, sum(down_count), alpha)
 
 
-def vertex_views(tree: Tree, stats: Optional[SubtreeStats] = None) -> List[VertexSubtreeView]:
+def vertex_views(tree: Tree) -> List[VertexSubtreeView]:
     """alpha, lambda and the complementary averages at every vertex."""
     parent, order, down_count, down_sum = _down_pass(tree, 0)
     alpha, sigma = _top_down(parent, order, down_count, down_sum)
-    if stats is None:
-        total, order_sum = sum(down_count), sum(down_sum)
-    else:
-        total, order_sum = stats.subtree_count, stats.order_sum
-    views = []
-    for v in range(tree.n):
-        alpha_bar = total - alpha[v]
-        lambda_bar = Fraction(order_sum - sigma[v], alpha_bar) if alpha_bar else None
-        views.append(VertexSubtreeView(v, alpha[v], alpha_bar,
-                                       Fraction(sigma[v], alpha[v]), lambda_bar))
-    return views
+    total, order_sum = sum(down_count), sum(down_sum)
+    return [_view(v, alpha[v], sigma[v], total, order_sum) for v in range(tree.n)]
 
 
 def vertex_view(tree: Tree, v: int, stats: Optional[SubtreeStats] = None) -> VertexSubtreeView:
-    """alpha, lambda and the complementary averages at one vertex."""
-    return vertex_views(tree, stats)[v]
+    """alpha, lambda and the complementary averages at one vertex.
+
+    One down pass from v gives alpha(v), sigma(v) and both totals; `stats`
+    is accepted for compatibility and not read.
+    """
+    _, _, down_count, down_sum = _down_pass(tree, v)
+    return _view(v, down_count[v], down_sum[v], sum(down_count), sum(down_sum))
+
+
+def _view(v: int, alpha: int, sigma: int, total: int, order_sum: int) -> VertexSubtreeView:
+    alpha_bar = total - alpha
+    lambda_bar = Fraction(order_sum - sigma, alpha_bar) if alpha_bar else None
+    return VertexSubtreeView(v, alpha, alpha_bar, Fraction(sigma, alpha), lambda_bar)
 
 
 def edge_counts(tree: Tree, edge: Tuple[int, int]) -> Tuple[int, int]:

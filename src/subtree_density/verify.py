@@ -65,7 +65,7 @@ class _TreeContext:
 
     @cached_property
     def views(self):
-        return vertex_views(self.tree, self.stats)
+        return vertex_views(self.tree)
 
 
 @dataclass
@@ -221,7 +221,7 @@ def _check_c9(ctx, out):
     if v is None:
         out.violations.append(_witness(ctx, anchor=None))
         return
-    gap = ctx.stats.mu - vertex_view(ctx.tree, v, ctx.stats).lam
+    gap = ctx.stats.mu - vertex_view(ctx.tree, v).lam
     if not abs(gap) < 2:
         out.violations.append(_witness(ctx, anchor=v, gap=gap))
 

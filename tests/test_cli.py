@@ -194,6 +194,17 @@ def test_range_where_one_size_is_used_rejected(capsys, argv):
     assert usage_error(*argv) == 2
 
 
+def test_verify_sample_needs_n(capsys):
+    assert usage_error("verify", "--source", "sample", "--count", "1") == 2
+    assert "--source sample needs --n N" in capsys.readouterr().err
+
+
+def test_verify_default_n_is_enum_range(capsys):
+    code, out, _ = run(capsys, "verify", "--source", "family", "--family", "path",
+                       "--params", "n=5", "--checks", "C1", "--format", "json")
+    assert code == 0 and json.loads(out)["report"]["config"]["n"] == "4..12"
+
+
 def test_verify_config_keeps_typed_n(capsys):
     code, out, _ = run(capsys, "verify", "--source", "sample", "--n", "20..20",
                        "--count", "1", "--checks", "C7", "--format", "json")
