@@ -18,7 +18,7 @@ from .enumeration import (
     sample_series_reduced,
 )
 from .families import FamilySpec, density_sweep, make_family
-from .oracle import enumerate_subtrees, oracle_stats
+from .oracle import enumerate_subtrees, oracle_stats, oracle_tally
 from .ranks import c_sequence, rank_lower_bound, rank_profile, simple_lower_bound
 from .tree import (
     ParseError,
@@ -43,8 +43,8 @@ __all__ = [
     "c_sequence", "canonical_form", "check_stpoly", "classify_vertices",
     "density_sweep", "diameter", "edge_counts", "enumerate_subtrees",
     "enumerate_trees", "global_stats", "good_anchor", "is_series_reduced",
-    "leaf_deleted", "make_family", "oracle_stats", "orient", "parse_tree",
-    "parse_trees", "rank_lower_bound", "rank_profile", "rooted_counts",
-    "run_checks", "sample_series_reduced", "serialize", "simple_lower_bound",
-    "vertex_view", "vertex_views",
+    "leaf_deleted", "make_family", "oracle_stats", "oracle_tally", "orient",
+    "parse_tree", "parse_trees", "rank_lower_bound", "rank_profile",
+    "rooted_counts", "run_checks", "sample_series_reduced", "serialize",
+    "simple_lower_bound", "vertex_view", "vertex_views",
 ]

@@ -59,10 +59,14 @@ def _parse_params(text: str) -> dict:
     for item in text.split(","):
         if not item:
             continue
-        key, _, value = item.partition("=")
-        if not _:
-            raise ValueError(f"bad parameter {item!r}, expected name=value")
-        params[key.strip()] = int(value)
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise UsageError(f"bad parameter {item!r}, expected name=value")
+        key = key.strip()
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise UsageError(f"parameter {key!r} needs an integer, got {value!r}") from None
     return params
 
 
@@ -291,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact counts of large trees exceed 4300 digits
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

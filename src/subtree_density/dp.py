@@ -151,11 +151,10 @@ def vertex_views(tree: Tree) -> List[VertexSubtreeView]:
     return [_view(v, alpha[v], sigma[v], total, order_sum) for v in range(tree.n)]
 
 
-def vertex_view(tree: Tree, v: int, stats: Optional[SubtreeStats] = None) -> VertexSubtreeView:
+def vertex_view(tree: Tree, v: int) -> VertexSubtreeView:
     """alpha, lambda and the complementary averages at one vertex.
 
-    One down pass from v gives alpha(v), sigma(v) and both totals; `stats`
-    is accepted for compatibility and not read.
+    One down pass from v gives alpha(v), sigma(v) and both totals.
     """
     _, _, down_count, down_sum = _down_pass(tree, v)
     return _view(v, down_count[v], down_sum[v], sum(down_count), sum(down_sum))

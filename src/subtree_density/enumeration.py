@@ -14,7 +14,8 @@ from typing import Iterator, List, Tuple
 
 from .tree import Tree, TreeError, is_series_reduced, orient
 
-DEFAULT_ENUM_CAP = 18
+ENUM_CAP = 18
+SAMPLE_RETRIES = 1000
 
 
 def rooted_level_sequences(n: int) -> Iterator[Tuple[int, ...]]:
@@ -107,20 +108,24 @@ def canonical_form(tree: Tree) -> Tuple[int, ...]:
     return min(_flatten(_rooted_code(tree, c)) for c in centroids(tree))
 
 
-def enumerate_trees(n: int, series_reduced: bool = False,
-                    cap: int = DEFAULT_ENUM_CAP) -> Iterator[Tree]:
-    """One representative per free-tree isomorphism class on n vertices."""
-    if not 1 <= n <= cap:
-        raise TreeError(f"enumeration requires 1 <= n <= {cap}, got {n}")
+def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
+    """One representative per free-tree isomorphism class on n vertices.
+
+    Series-reducedness is an isomorphism invariant, so filtering before the
+    dedup drops whole classes and keeps the same first representative of
+    every other one.
+    """
+    if not 1 <= n <= ENUM_CAP:
+        raise TreeError(f"enumeration requires 1 <= n <= {ENUM_CAP}, got {n}")
     seen = set()
     for levels in rooted_level_sequences(n):
         tree = tree_from_level_sequence(levels)
+        if series_reduced and not is_series_reduced(tree):
+            continue
         code = canonical_form(tree)
         if code in seen:
             continue
         seen.add(code)
-        if series_reduced and not is_series_reduced(tree):
-            continue
         yield tree
 
 
@@ -174,7 +179,7 @@ def suppress_degree_two(tree: Tree) -> Tree:
     return Tree(len(kept), sorted(edges))
 
 
-def sample_series_reduced(n_target: int, seed: int, max_retries: int = 1000) -> Tree:
+def sample_series_reduced(n_target: int, seed: int) -> Tree:
     """Deterministic random series-reduced tree with at least n_target vertices.
 
     Draws uniform labeled trees on n_target + slack vertices and suppresses
@@ -184,9 +189,9 @@ def sample_series_reduced(n_target: int, seed: int, max_retries: int = 1000) -> 
         raise TreeError("sample_series_reduced requires n_target >= 4")
     rng = random.Random(seed)
     size = max(n_target + 4, (n_target * 5) // 3)
-    for _ in range(max_retries):
+    for _ in range(SAMPLE_RETRIES):
         candidate = suppress_degree_two(random_labeled_tree(size, rng))
         if candidate.n >= n_target and is_series_reduced(candidate):
             return candidate
         size += max(1, size // 10)
-    raise TreeError(f"failed to sample a series-reduced tree after {max_retries} retries")
+    raise TreeError(f"failed to sample a series-reduced tree after {SAMPLE_RETRIES} retries")

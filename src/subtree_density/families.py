@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from .dp import global_stats
 from .rationals import to_decimal
@@ -13,7 +13,7 @@ from .tree import Tree, TreeError, classify_vertices, diameter
 
 FAMILY_NAMES = ("path", "star", "star_chain", "broom", "leafy_path", "starfish")
 
-DEFAULT_SWEEP_CAP = 5000
+SWEEP_CAP = 5000
 
 
 class FamilyError(TreeError):
@@ -42,7 +42,6 @@ class DensitySequencePoint:
     density: Fraction
     leaf_fraction: Fraction
     twig_fraction: Fraction
-    diameter_ratio: Fraction
 
 
 def _require(cond: bool, constraint: str):
@@ -151,12 +150,11 @@ def make_family(spec: FamilySpec) -> Tree:
     return ctor(*(spec.params[p] for p in names))
 
 
-def family_point(spec: FamilySpec, param_name: str, value: int,
-                 vertex_cap: int = DEFAULT_SWEEP_CAP) -> DensitySequencePoint:
+def family_point(spec: FamilySpec, param_name: str, value: int) -> DensitySequencePoint:
     tree = make_family(spec.with_param(param_name, value))
-    if tree.n > vertex_cap:
+    if tree.n > SWEEP_CAP:
         raise FamilyError(
-            f"sweep instance {param_name}={value} has {tree.n} vertices > cap {vertex_cap}")
+            f"sweep instance {param_name}={value} has {tree.n} vertices > cap {SWEEP_CAP}")
     if tree.n < 2:
         raise FamilyError(f"sweep instance {param_name}={value} has fewer than 2 vertices")
     cls = classify_vertices(tree)
@@ -171,14 +169,13 @@ def family_point(spec: FamilySpec, param_name: str, value: int,
         density=stats.density,
         leaf_fraction=Fraction(len(cls.leaves), tree.n),
         twig_fraction=Fraction(len(cls.twigs), tree.n),
-        diameter_ratio=Fraction(diameter(tree), tree.n),
     )
 
 
-def density_sweep(spec: FamilySpec, param_name: str, values: Iterable[int],
-                  vertex_cap: int = DEFAULT_SWEEP_CAP) -> List[DensitySequencePoint]:
+def density_sweep(spec: FamilySpec, param_name: str,
+                  values: Iterable[int]) -> List[DensitySequencePoint]:
     """Exact per-instance statistics along one swept integer parameter."""
-    return [family_point(spec, param_name, v, vertex_cap) for v in values]
+    return [family_point(spec, param_name, v) for v in values]
 
 
 SWEEP_CSV_COLUMNS = (

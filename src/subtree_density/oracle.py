@@ -8,18 +8,18 @@ restricted to vertices > a.  Output size is linear in the number of subtrees.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .dp import SubtreeStats
 from .tree import Tree, TreeError
 
-DEFAULT_ORACLE_LIMIT = 18
+ORACLE_LIMIT = 18
 
 
-def enumerate_subtrees(tree: Tree, limit: int = DEFAULT_ORACLE_LIMIT) -> Iterator[frozenset]:
+def enumerate_subtrees(tree: Tree) -> Iterator[frozenset]:
     """Yield every nonempty connected vertex subset exactly once."""
-    if tree.n > limit:
-        raise TreeError(f"oracle refuses n = {tree.n} > limit {limit}")
+    if tree.n > ORACLE_LIMIT:
+        raise TreeError(f"oracle refuses n = {tree.n} > limit {ORACLE_LIMIT}")
     for anchor in range(tree.n):
         start = frozenset((anchor,))
         seen = {start}
@@ -36,45 +36,36 @@ def enumerate_subtrees(tree: Tree, limit: int = DEFAULT_ORACLE_LIMIT) -> Iterato
                             queue.append(grown)
 
 
-def oracle_stats(tree: Tree, limit: int = DEFAULT_ORACLE_LIMIT) -> SubtreeStats:
-    """SubtreeStats recomputed by direct tallying over the enumeration."""
+def oracle_tally(tree: Tree) -> Tuple[int, List[int], List[int], Dict[Tuple[int, int], int]]:
+    """One pass over every subtree: (N(T), alpha, sigma, alpha_e).
+
+    alpha[v] counts the subtrees containing v and sigma[v] sums their
+    orders; alpha_e maps each edge (u, w), u < w, to the number of subtrees
+    containing both ends.
+    """
     total = 0
-    containment = [0] * tree.n
-    for s in enumerate_subtrees(tree, limit):
-        total += 1
-        for v in s:
-            containment[v] += 1
-    return SubtreeStats.from_totals(tree, total, containment)
-
-
-def oracle_vertex_profiles(tree: Tree, limit: int = DEFAULT_ORACLE_LIMIT) -> List[Tuple[int, int]]:
-    """Per vertex: (number of subtrees containing it, sum of their orders)."""
     alpha = [0] * tree.n
-    osum = [0] * tree.n
-    for s in enumerate_subtrees(tree, limit):
+    sigma = [0] * tree.n
+    alpha_e = dict.fromkeys(tree.edges, 0)
+    for s in enumerate_subtrees(tree):
         k = len(s)
-        for v in s:
-            alpha[v] += 1
-            osum[v] += k
-    return list(zip(alpha, osum))
-
-
-def oracle_edge_counts(tree: Tree, edge, limit: int = DEFAULT_ORACLE_LIMIT) -> Tuple[int, int]:
-    """(alpha_e, alpha_bar_e) by counting subsets containing both endpoints."""
-    u, v = edge
-    e = (u, v) if u < v else (v, u)
-    if e not in tree.edges:
-        raise TreeError(f"{e} is not an edge of the tree")
-    alpha_e = 0
-    total = 0
-    for s in enumerate_subtrees(tree, limit):
         total += 1
-        if u in s and v in s:
-            alpha_e += 1
-    return alpha_e, total - alpha_e
+        for u in s:
+            alpha[u] += 1
+            sigma[u] += k
+            for w in tree.adj[u]:
+                if w > u and w in s:
+                    alpha_e[u, w] += 1
+    return total, alpha, sigma, alpha_e
 
 
-def dump_subsets(tree: Tree, limit: int = DEFAULT_ORACLE_LIMIT) -> Iterator[str]:
+def oracle_stats(tree: Tree) -> SubtreeStats:
+    """SubtreeStats recomputed by direct tallying over the enumeration."""
+    total, alpha, _, _ = oracle_tally(tree)
+    return SubtreeStats.from_totals(tree, total, alpha)
+
+
+def dump_subsets(tree: Tree) -> Iterator[str]:
     """Debug rendering: one subset per line as comma-separated sorted indices."""
-    for s in enumerate_subtrees(tree, limit):
+    for s in enumerate_subtrees(tree):
         yield ",".join(str(v) for v in sorted(s))

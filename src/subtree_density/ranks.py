@@ -8,10 +8,6 @@ from typing import Dict, List, Tuple
 
 from .tree import Tree, orient
 
-# Ranks beyond 63 cannot occur below the enumeration cap, and c_j is within
-# 1e-15 of 1 long before j = 64.
-MAX_COEFFICIENTS = 64
-
 _cache: List[Fraction] = [Fraction(1, 2)]
 
 

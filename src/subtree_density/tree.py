@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
@@ -49,25 +48,14 @@ class Tree:
         if len(norm) != n - 1:
             raise TreeError(f"edge count {len(norm)} != n-1 = {n - 1}")
         adj = [[] for _ in range(n)]
-        for u, v in norm:
+        for u, v in norm:  # sorted (u, v) with u < v keeps every list ascending
             adj[u].append(v)
             adj[v].append(u)
-        seen = bytearray(n)
-        seen[0] = 1
-        reached = 1
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    reached += 1
-                    queue.append(w)
-        if reached != n:
-            raise TreeError("graph is not connected")
         self.n = n
         self.edges = tuple(norm)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(tuple(a) for a in adj)
+        if len(orient(self, 0)[1]) != n:
+            raise TreeError("graph is not connected")
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -89,7 +77,6 @@ class VertexClassification:
     twigs: frozenset
     leaves_adjacent_to_twig: frozenset
     leaves_not_adjacent_to_twig: frozenset
-    per_twig_leaf_count: dict
 
 
 def _content_lines(text: str):
@@ -188,21 +175,16 @@ def classify_vertices(tree: Tree) -> VertexClassification:
         raise TreeError("classification undefined for single vertex")
     leaf_set = frozenset(v for v in range(tree.n) if tree.degree(v) == 1)
     internal = frozenset(v for v in range(tree.n) if tree.degree(v) >= 2)
-    twigs = set()
-    per_twig = {}
-    for v in internal:
-        a = sum(1 for w in tree.adj[v] if w in leaf_set)
-        if a >= tree.degree(v) - 1:
-            twigs.add(v)
-            per_twig[v] = a
+    twigs = frozenset(
+        v for v in internal
+        if sum(1 for w in tree.adj[v] if w in leaf_set) >= tree.degree(v) - 1)
     l1 = frozenset(v for v in leaf_set if any(w in twigs for w in tree.adj[v]))
     return VertexClassification(
         leaves=leaf_set,
         internal=internal,
-        twigs=frozenset(twigs),
+        twigs=twigs,
         leaves_adjacent_to_twig=l1,
         leaves_not_adjacent_to_twig=leaf_set - l1,
-        per_twig_leaf_count=per_twig,
     )
 
 
@@ -227,24 +209,13 @@ def leaf_deleted(tree: Tree) -> Tuple[Tree, Tuple[int, ...]]:
     return Tree(len(kept), edges), tuple(kept)
 
 
-def _farthest(tree: Tree, start: int) -> Tuple[int, int]:
-    dist = [-1] * tree.n
-    dist[start] = 0
-    queue = deque([start])
-    far, fdist = start, 0
-    while queue:
-        u = queue.popleft()
-        for w in tree.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                if dist[w] > fdist or (dist[w] == fdist and w < far):
-                    far, fdist = w, dist[w]
-                queue.append(w)
-    return far, fdist
-
-
 def diameter(tree: Tree) -> int:
-    """Edge count of a longest path, by two breadth-first sweeps."""
-    a, _ = _farthest(tree, 0)
-    _, d = _farthest(tree, a)
-    return d
+    """Edge count of a longest path: the greatest depth below a vertex farthest from 0."""
+    far = 0
+    for _ in range(2):
+        parent, order = orient(tree, far)
+        depth = [0] * tree.n
+        for w in order[1:]:
+            depth[w] = depth[parent[w]] + 1
+        far = max(range(tree.n), key=depth.__getitem__)
+    return depth[far]

@@ -38,7 +38,7 @@ from .tree import Tree, classify_vertices, is_series_reduced
 ALL_CHECKS = ("C1", "C2", "C3", "C4", "C5", "C6",
               "C7", "C8", "C9", "C10", "C11", "C12")
 
-STPOLY_DEFAULT_MAX = 64
+STPOLY_MAX = 64
 
 
 class _TreeContext:
@@ -271,7 +271,7 @@ _TREE_CHECKS = {
 }
 
 
-def check_stpoly(a_max: int = STPOLY_DEFAULT_MAX) -> CheckOutcome:
+def check_stpoly(a_max: int = STPOLY_MAX) -> CheckOutcome:
     """(2^a + a 2^(a-1)) / (2^a + 1) <= (28a + 16)/45 for integer a in [2, a_max]."""
     if a_max < 2:
         raise ValueError("a_max must be >= 2")
@@ -294,8 +294,7 @@ def _sort_key(record: dict):
 
 
 def run_checks(trees: Iterable[Tree], checks: Sequence[str],
-               config: Optional[dict] = None,
-               stpoly_max: int = STPOLY_DEFAULT_MAX) -> VerificationReport:
+               config: Optional[dict] = None) -> VerificationReport:
     """Evaluate the requested checks over a tree stream.
 
     Rooted checks try every internal vertex as root.  The report is
@@ -315,7 +314,7 @@ def run_checks(trees: Iterable[Tree], checks: Sequence[str],
                 outcomes[c].trees_examined += 1
                 _TREE_CHECKS[c](ctx, outcomes[c])
     if "C6" in outcomes:
-        outcomes["C6"] = check_stpoly(stpoly_max)
+        outcomes["C6"] = check_stpoly()
     for o in outcomes.values():
         o.violations.sort(key=_sort_key)
         o.equality_cases.sort(key=_sort_key)

@@ -12,7 +12,7 @@ from subtree_density.enumeration import (
     sample_series_reduced,
 )
 from subtree_density.families import FamilySpec, density_sweep, make_family
-from subtree_density.oracle import enumerate_subtrees
+from subtree_density.oracle import oracle_tally
 from subtree_density.ranks import c_sequence
 from subtree_density.tree import Tree, diameter
 from subtree_density.verify import run_checks
@@ -46,26 +46,6 @@ def test_criterion_1_path_formula():
     report(1, elapsed < 5, f"mu(P_n) = (n+2)/3 for n in [1, 200] ({elapsed:.2f}s)")
 
 
-def _oracle_tally(tree):
-    """Single brute-force pass: totals, per-vertex and per-edge aggregates."""
-    total = 0
-    order_sum = 0
-    alpha = [0] * tree.n
-    vsum = [0] * tree.n
-    e_alpha = {e: 0 for e in tree.edges}
-    for s in enumerate_subtrees(tree):
-        k = len(s)
-        total += 1
-        order_sum += k
-        for v in s:
-            alpha[v] += 1
-            vsum[v] += k
-        for e in tree.edges:
-            if e[0] in s and e[1] in s:
-                e_alpha[e] += 1
-    return total, order_sum, alpha, vsum, e_alpha
-
-
 def test_criterion_2_oracle_equivalence():
     start = time.monotonic()
     checked = 0
@@ -73,14 +53,15 @@ def test_criterion_2_oracle_equivalence():
         count = 0
         for t in enumerate_trees(n):
             count += 1
-            total, order_sum, alpha, vsum, e_alpha = _oracle_tally(t)
+            total, alpha, vsum, e_alpha = oracle_tally(t)
+            order_sum = sum(alpha)
             stats = global_stats(t)
             assert stats.subtree_count == total
             assert stats.order_sum == order_sum
             assert stats.containment == tuple(alpha)
             assert stats.mu == Fraction(order_sum, total)
             for v in range(t.n):
-                view = vertex_view(t, v, stats)
+                view = vertex_view(t, v)
                 assert view.alpha == alpha[v]
                 assert view.lam == Fraction(vsum[v], alpha[v])
             for e in t.edges:
@@ -112,7 +93,8 @@ def test_criterion_3_density_window():
             at_half.append(t)
     ok = not outside
     ok = ok and [canonical_form(t) for t in at_half] == [DOUBLE_STAR_FORM]
-    ok = ok and all(_oracle_tally(t)[:2] == (28, 84) for t in at_half)
+    ok = ok and all((total, sum(alpha)) == (28, 84)
+                    for total, alpha, _, _ in map(oracle_tally, at_half))
     detail = ("1/2 <= D(T) < 3/4 for all series-reduced trees, 4 <= n <= 16; "
               "D = 1/2 only at the six-vertex double star (28 subtrees, order sum 84)")
     if outside:
@@ -192,7 +174,7 @@ def test_criterion_7_anchor_at_scale():
             t = sample_series_reduced(n_target, seed=1000 * n_target + seed)
             stats = global_stats(t)
             v = good_anchor(t, stats)
-            if v is None or not abs(stats.mu - vertex_view(t, v, stats).lam) < 2:
+            if v is None or not abs(stats.mu - vertex_view(t, v).lam) < 2:
                 ok = False
             cases += 1
     elapsed = time.monotonic() - start

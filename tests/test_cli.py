@@ -1,8 +1,20 @@
 import json
+import sys
 
 import pytest
 
 from subtree_density.cli import main
+
+
+@pytest.fixture(autouse=True)
+def restore_int_digit_limit():
+    """main() lifts the interpreter's int-to-str digit limit; undo it per test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture
@@ -209,6 +221,24 @@ def test_verify_config_keeps_typed_n(capsys):
     code, out, _ = run(capsys, "verify", "--source", "sample", "--n", "20..20",
                        "--count", "1", "--checks", "C7", "--format", "json")
     assert code == 0 and json.loads(out)["report"]["config"]["n"] == "20..20"
+
+
+def test_counts_beyond_int_digit_limit(capsys, tmp_path):
+    tree = tmp_path / "star.tree"
+    assert run(capsys, "family", "--family", "star", "--params", "m=15000",
+               "--out", str(tree))[0] == 0
+    code, out, _ = run(capsys, "stats", "--tree", str(tree))
+    assert code == 0
+    assert out.splitlines()[1] == "subtrees=" + str(2 ** 15000 + 15000)
+
+
+@pytest.mark.parametrize("params, message", [
+    ("k=x,r=2", "parameter 'k' needs an integer, got 'x'"),
+    ("k,r=2", "bad parameter 'k', expected name=value"),
+])
+def test_bad_params_rejected(capsys, params, message):
+    assert usage_error("family", "--family", "starfish", "--params", params) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_out_file(capsys, tmp_path):

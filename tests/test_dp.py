@@ -13,11 +13,7 @@ from subtree_density.dp import (
     vertex_view,
     vertex_views,
 )
-from subtree_density.oracle import (
-    oracle_edge_counts,
-    oracle_stats,
-    oracle_vertex_profiles,
-)
+from subtree_density.oracle import oracle_stats, oracle_tally
 from subtree_density.tree import Tree, TreeError
 
 from test_tree import path, star, random_trees
@@ -122,7 +118,7 @@ class TestVertexView:
     def test_accounting_identity(self, t):
         s = global_stats(t)
         for u in range(t.n):
-            view = vertex_view(t, u, s)
+            view = vertex_view(t, u)
             assert view.alpha + view.alpha_bar == s.subtree_count
             if view.lambda_bar is not None:
                 assert (view.alpha * view.lam + view.alpha_bar * view.lambda_bar
@@ -131,8 +127,8 @@ class TestVertexView:
     @given(random_trees(9))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, t):
-        profiles = oracle_vertex_profiles(t)
-        for u, (alpha, osum) in enumerate(profiles):
+        _, alphas, sigmas, _ = oracle_tally(t)
+        for u, (alpha, osum) in enumerate(zip(alphas, sigmas)):
             view = vertex_view(t, u)
             assert view.alpha == alpha
             assert view.lam == Fraction(osum, alpha)
@@ -145,7 +141,8 @@ class TestVertexViews:
         s = oracle_stats(t)
         views = vertex_views(t)
         assert views == [vertex_view(t, v) for v in range(t.n)]
-        for view, (alpha, osum) in zip(views, oracle_vertex_profiles(t)):
+        _, alphas, sigmas, _ = oracle_tally(t)
+        for view, alpha, osum in zip(views, alphas, sigmas):
             assert view.alpha == alpha and view.alpha_bar == s.subtree_count - alpha
             assert view.lam == Fraction(osum, alpha)
             if view.alpha_bar:
@@ -166,7 +163,8 @@ class TestVertexViews:
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_star_closed_forms(self, m):
-        profiles = oracle_vertex_profiles(star(m))
+        _, alphas, sigmas, _ = oracle_tally(star(m))
+        profiles = list(zip(alphas, sigmas))
         assert profiles[0] == (2 ** m, 2 ** m + m * 2 ** (m - 1))
         leaf = (2 ** (m - 1) + 1, 1 + 2 ** m + (m - 1) * 2 ** (m - 2))
         assert profiles[1:] == [leaf] * m
@@ -189,8 +187,9 @@ class TestEdgeCounts:
     @given(random_trees(9))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, t):
+        total, _, _, alpha_e = oracle_tally(t)
         for e in t.edges:
-            assert edge_counts(t, e) == oracle_edge_counts(t, e)
+            assert edge_counts(t, e) == (alpha_e[e], total - alpha_e[e])
 
 
 class TestGoodAnchor:
@@ -208,4 +207,4 @@ class TestGoodAnchor:
                 v = good_anchor(t)
                 if v is not None:
                     s = global_stats(t)
-                    assert abs(s.mu - vertex_view(t, v, s).lam) < 2
+                    assert abs(s.mu - vertex_view(t, v).lam) < 2

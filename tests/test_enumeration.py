@@ -75,6 +75,11 @@ class TestEnumeration:
             got = sum(1 for _ in enumerate_trees(n, series_reduced=True))
             assert got == expected
 
+    def test_series_reduced_filter_keeps_representatives(self):
+        for n in range(1, 13):
+            assert (list(enumerate_trees(n, series_reduced=True))
+                    == [t for t in enumerate_trees(n) if is_series_reduced(t)])
+
     def test_n4(self):
         trees = list(enumerate_trees(4))
         codes = {canonical_form(t) for t in trees}

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from subtree_density.enumeration import prufer_to_tree
 from subtree_density.tree import (
@@ -80,6 +80,24 @@ class TestConstruction:
     @given(random_trees())
     def test_roundtrip_property(self, t):
         assert parse_tree(serialize(t)) == t
+
+    @given(random_trees())
+    def test_adjacency_ascending(self, t):
+        assert all(list(a) == sorted(a) for a in t.adj)
+
+
+# arbitrary text, and text over the characters the format uses
+TREE_TEXT = st.one_of(st.text(), st.text(alphabet="0123456789 -#\nx", max_size=60))
+
+
+@given(TREE_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_tree_errors(text):
+    for parse in (parse_tree, parse_trees):
+        try:
+            parse(text)
+        except TreeError:  # ParseError is a TreeError
+            pass
 
 
 class TestParseTrees:
