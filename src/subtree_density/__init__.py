@@ -19,7 +19,13 @@ from .enumeration import (
 )
 from .families import FamilySpec, density_sweep, make_family
 from .oracle import enumerate_subtrees, oracle_stats, oracle_tally
-from .ranks import c_sequence, rank_lower_bound, rank_profile, simple_lower_bound
+from .ranks import (
+    c_sequence,
+    rank_lower_bound,
+    rank_lower_bounds,
+    rank_profile,
+    simple_lower_bound,
+)
 from .tree import (
     ParseError,
     Tree,
@@ -44,7 +50,7 @@ __all__ = [
     "density_sweep", "diameter", "edge_counts", "enumerate_subtrees",
     "enumerate_trees", "global_stats", "good_anchor", "is_series_reduced",
     "leaf_deleted", "make_family", "oracle_stats", "oracle_tally", "orient",
-    "parse_tree", "parse_trees", "rank_lower_bound", "rank_profile",
-    "rooted_counts", "run_checks", "sample_series_reduced", "serialize",
-    "simple_lower_bound", "vertex_view", "vertex_views",
+    "parse_tree", "parse_trees", "rank_lower_bound", "rank_lower_bounds",
+    "rank_profile", "rooted_counts", "run_checks", "sample_series_reduced",
+    "serialize", "simple_lower_bound", "vertex_view", "vertex_views",
 ]

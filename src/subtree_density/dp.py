@@ -60,11 +60,13 @@ class SubtreeStats:
                    mu_prime, spc, sps)
 
     def to_json_dict(self) -> dict:
+        # each distinct count is converted once: a star's leaves share one value
+        text = {c: str(c) for c in set(self.containment)}
         out = {
             "n": self.n,
             "subtree_count": str(self.subtree_count),
             "order_sum": str(self.order_sum),
-            "containment": [str(c) for c in self.containment],
+            "containment": [text[c] for c in self.containment],
             "mu": ratio_json(self.mu),
             "density": ratio_json(self.density),
         }
@@ -185,9 +187,11 @@ def edge_counts(tree: Tree, edge: Tuple[int, int]) -> Tuple[int, int]:
 def good_anchor(tree: Tree, stats: Optional[SubtreeStats] = None) -> Optional[int]:
     """Smallest internal vertex v with 2*alpha(T,v) >= n*alpha_bar(T,v), if any.
 
-    Falls back to scanning edges for 2*alpha(T,e) >= n*alpha_bar(T,e) and
-    returning an internal endpoint.  Any returned vertex satisfies
-    |mu(T) - lambda(T,v)| < 2.
+    Any returned vertex satisfies |mu(T) - lambda(T,v)| < 2.  No edge scan
+    is needed: every subtree containing an edge e contains its endpoint w,
+    so alpha(T,w) >= alpha(T,e) and alpha_bar(T,w) <= alpha_bar(T,e), and an
+    edge with 2*alpha(T,e) >= n*alpha_bar(T,e) makes each internal endpoint
+    pass the vertex test.
     """
     if stats is None:
         stats = global_stats(tree)
@@ -195,10 +199,4 @@ def good_anchor(tree: Tree, stats: Optional[SubtreeStats] = None) -> Optional[in
     for v in range(n):
         if tree.degree(v) >= 2 and 2 * stats.containment[v] >= n * (total - stats.containment[v]):
             return v
-    for e in tree.edges:
-        alpha_e, alpha_bar_e = edge_counts(tree, e)
-        if 2 * alpha_e >= n * alpha_bar_e:
-            for w in e:
-                if tree.degree(w) >= 2:
-                    return w
     return None

@@ -17,7 +17,10 @@ Check ids:
                            reports it as a violation
 
 Every comparison is exact rational arithmetic; equality detection never
-uses a tolerance.
+uses a tolerance.  C10 and C11 are linear per tree: `vertex_views` gives
+lambda at every vertex in one pass, C10's bound is the same at every
+internal root (k is the internal count), and `ranks.rank_lower_bounds`
+gives C11's bound at every root in one rerooting pass.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Iterable, List, Optional, Sequence
 from .dp import global_stats, good_anchor, vertex_view, vertex_views
 from .enumeration import canonical_form
 from .rationals import format_ratio
-from .ranks import rank_lower_bound, simple_lower_bound
+from .ranks import rank_lower_bounds, simple_lower_bound
 from .tree import Tree, classify_vertices, is_series_reduced
 
 ALL_CHECKS = ("C1", "C2", "C3", "C4", "C5", "C6",
@@ -226,13 +229,12 @@ def _check_c9(ctx, out):
         out.violations.append(_witness(ctx, anchor=v, gap=gap))
 
 
-def _check_lambda_bound(ctx, out, lower_bound):
-    if not ctx.series_reduced:
-        return
+def _check_lambda_bound(ctx, out, bounds):
+    """lambda(T, v) >= bounds[v] at every internal root v of a series-reduced tree."""
     out.trees_applicable += 1
     for v in ctx.internal:
         lam = ctx.views[v].lam
-        bound = lower_bound(ctx.tree, v)
+        bound = bounds[v]
         if lam < bound:
             out.violations.append(_witness(ctx, vertex=v, lam=lam, bound=bound))
         elif lam == bound:
@@ -240,11 +242,17 @@ def _check_lambda_bound(ctx, out, lower_bound):
 
 
 def _check_c10(ctx, out):
-    _check_lambda_bound(ctx, out, simple_lower_bound)
+    if not ctx.series_reduced:
+        return
+    # k = |internal| at every internal root, so one bound serves them all
+    bound = simple_lower_bound(ctx.tree, ctx.internal[0]) if ctx.internal else None
+    _check_lambda_bound(ctx, out, [bound] * ctx.tree.n)
 
 
 def _check_c11(ctx, out):
-    _check_lambda_bound(ctx, out, rank_lower_bound)
+    if not ctx.series_reduced:
+        return
+    _check_lambda_bound(ctx, out, rank_lower_bounds(ctx.tree))
 
 
 def _check_c12(ctx, out):

@@ -192,12 +192,40 @@ class TestEdgeCounts:
             assert edge_counts(t, e) == (alpha_e[e], total - alpha_e[e])
 
 
+def _anchor_with_edge_scan(t):
+    """The vertex scan, then an internal endpoint of the first edge e of
+    tree.edges with 2*alpha_e >= n*alpha_bar_e, each by edge_counts."""
+    s = global_stats(t)
+    n, total = t.n, s.subtree_count
+    for v in range(n):
+        if t.degree(v) >= 2 and 2 * s.containment[v] >= n * (total - s.containment[v]):
+            return v
+    for e in t.edges:
+        alpha_e, alpha_bar_e = edge_counts(t, e)
+        if 2 * alpha_e >= n * alpha_bar_e:
+            for w in e:
+                if t.degree(w) >= 2:
+                    return w
+    return None
+
+
 class TestGoodAnchor:
     def test_k13(self):
         assert good_anchor(K13) == 0  # 2*8 >= 4*3
 
     def test_p4_none(self):
         assert good_anchor(P4) is None
+
+    def test_matches_edge_scan_exhaustive(self):
+        from subtree_density.enumeration import enumerate_trees
+        for n in range(1, 13):
+            for t in enumerate_trees(n):
+                assert good_anchor(t) == _anchor_with_edge_scan(t)
+
+    @given(random_trees(40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_edge_scan(self, t):
+        assert good_anchor(t) == _anchor_with_edge_scan(t)
 
     def test_anchor_accuracy(self):
         # wherever an anchor exists, |mu - lambda| < 2

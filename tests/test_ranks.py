@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from subtree_density.dp import vertex_view
 from subtree_density.enumeration import enumerate_trees
@@ -9,11 +10,12 @@ from subtree_density.ranks import (
     c_sequence,
     is_rooted_series_reduced,
     rank_lower_bound,
+    rank_lower_bounds,
     rank_profile,
     simple_lower_bound,
 )
 
-from test_tree import path, star
+from test_tree import path, random_trees, star
 
 
 class TestRankProfile:
@@ -56,6 +58,11 @@ class TestCoefficients:
 
     def test_c2_direct_substitution(self):
         assert c_sequence(3)[2] == 1 - Fraction(1 + 1 + Fraction(1, 2) + Fraction(3, 5), 10)
+
+    def test_recurrence_first_40(self):
+        cs = c_sequence(40)
+        for j, c in enumerate(cs):
+            assert c == 1 - Fraction(1 + Fraction(j, 2) + sum(cs[:j]), 2 ** (j + 1) + j)
 
     def test_bounds_first_64(self):
         cs = c_sequence(64)
@@ -107,3 +114,26 @@ class TestLowerBounds:
                     lam = vertex_view(t, v).lam
                     assert lam >= simple_lower_bound(t, v)
                     assert lam >= rank_lower_bound(t, v)
+
+
+def _per_root(t):
+    return [rank_lower_bound(t, r) for r in range(t.n)]
+
+
+class TestRankLowerBounds:
+    @given(st.one_of(random_trees(40), st.integers(1, 40).map(path),
+                     st.integers(1, 40).map(star)))
+    @settings(max_examples=150, deadline=None)
+    @example(path(1))
+    @example(path(2))
+    def test_matches_per_root_bound(self, t):
+        assert rank_lower_bounds(t) == _per_root(t)
+
+    def test_exhaustive_to_9(self):
+        for n in range(1, 10):
+            for t in enumerate_trees(n):
+                assert rank_lower_bounds(t) == _per_root(t)
+
+    def test_exact_fractions(self):
+        for t in (path(1), star(3)):
+            assert all(type(b) is Fraction for b in rank_lower_bounds(t))

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from subtree_density import tree as tree_module
 from subtree_density.enumeration import canonical_form, enumerate_trees, sample_series_reduced
 from subtree_density.verify import ALL_CHECKS, check_stpoly, run_checks
 
@@ -106,3 +108,31 @@ class TestRunChecks:
     def test_all_check_ids_known(self):
         report = run_checks(enum_range(4, 5), list(ALL_CHECKS))
         assert [o.check for o in report.outcomes] == list(ALL_CHECKS)
+
+
+class TestRootedChecksCost:
+    """C10 and C11 orient each tree a fixed number of times, not once per root."""
+
+    @staticmethod
+    def _count_orient(monkeypatch):
+        original, calls = tree_module.orient, []
+
+        def counted(tree, root):
+            calls.append(root)
+            return original(tree, root)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "subtree_density" and \
+                    getattr(module, "orient", None) is original:
+                monkeypatch.setattr(module, "orient", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_orient_calls_bounded(self, monkeypatch, n):
+        trees = [sample_series_reduced(n, seed) for seed in range(3)]
+        calls = self._count_orient(monkeypatch)
+        for t in trees:
+            calls.clear()
+            report = run_checks([t], ["C10", "C11"])
+            assert report.outcome("C11").trees_applicable == 1
+            assert 1 <= len(calls) <= 4
