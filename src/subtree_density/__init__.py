@@ -33,7 +33,6 @@ from .tree import (
     classify_vertices,
     diameter,
     is_series_reduced,
-    leaf_deleted,
     orient,
     parse_tree,
     parse_trees,
@@ -49,7 +48,7 @@ __all__ = [
     "c_sequence", "canonical_form", "check_stpoly", "classify_vertices",
     "density_sweep", "diameter", "edge_counts", "enumerate_subtrees",
     "enumerate_trees", "global_stats", "good_anchor", "is_series_reduced",
-    "leaf_deleted", "make_family", "oracle_stats", "oracle_tally", "orient",
+    "make_family", "oracle_stats", "oracle_tally", "orient",
     "parse_tree", "parse_trees", "rank_lower_bound", "rank_lower_bounds",
     "rank_profile", "rooted_counts", "run_checks", "sample_series_reduced",
     "serialize", "simple_lower_bound", "vertex_view", "vertex_views",

@@ -9,7 +9,7 @@ import sys
 from typing import List, Tuple
 
 from . import dp, enumeration, families, oracle, verify
-from .rationals import format_ratio, to_decimal
+from .rationals import format_ratio, ratio_json, to_decimal
 from .tree import BLOCK_SEPARATOR, Tree, TreeError, parse_trees, serialize
 
 
@@ -45,12 +45,22 @@ def _parse_sweep(text: str) -> Tuple[str, Tuple[int, int]]:
     return name.strip(), _parse_range(rng)
 
 
-def _count(text: str) -> int:
-    """argparse type of --count: an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """argparse type of --count and --decimals: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _check_ids(text: str) -> List[str]:
+    """argparse type of --checks: known check ids, comma separated, each kept once."""
+    ids = list(dict.fromkeys(c.strip() for c in text.split(",") if c.strip()))
+    unknown = [c for c in ids if c not in verify.ALL_CHECKS]
+    if unknown or not ids:
+        bad = f"unknown check ids {unknown}" if unknown else "no check id"
+        raise argparse.ArgumentTypeError(f"{bad}; choose from {','.join(verify.ALL_CHECKS)}")
+    return ids
 
 
 def _parse_params(text: str) -> dict:
@@ -153,8 +163,7 @@ def cmd_family(args) -> int:
                 _emit(out, json.dumps([{
                     "param": p.param_value, "n": p.n, "leaves": p.leaves,
                     "twigs": p.twigs, "diameter": p.diameter,
-                    "density": {"num": str(p.density.numerator),
-                                "den": str(p.density.denominator)},
+                    "density": ratio_json(p.density),
                 } for p in points], sort_keys=True, indent=2))
             else:
                 families.write_sweep_csv(points, out, digits=args.decimals)
@@ -221,16 +230,15 @@ def cmd_verify(args) -> int:
         if args.source == "sample":
             raise UsageError("--source sample needs --n N")
         args.n = "4..12"
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     config = {
         "source": args.source,
-        "checks": checks,
+        "checks": args.checks,
         "n": args.n,
         "series_reduced": args.series_reduced,
         "seed": args.seed,
         "count": args.count,
     }
-    report = verify.run_checks(_verify_trees(args), checks, config=config)
+    report = verify.run_checks(_verify_trees(args), args.checks, config=config)
     with _output(args) as out:
         if args.format == "json":
             _emit(out, report.to_json())
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         if decimals:
-            p.add_argument("--decimals", type=int, default=12)
+            p.add_argument("--decimals", type=_positive_int, default=12)
         p.add_argument("--out", default=None)
         if tree:
             p.add_argument("--tree", required=True, help="tree file path")
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if count is not None:
-            p.add_argument("--count", type=_count, default=count)
+            p.add_argument("--count", type=_positive_int, default=count)
         return p
 
     text_json = ("text", "json")
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="A..B for enum (default 4..12); N for sample, where it is required")
     p.add_argument("--series-reduced", action="store_true")
     p.add_argument("--tree", default=None, help="tree file for --source file")
-    p.add_argument("--checks", default=",".join(verify.ALL_CHECKS))
+    p.add_argument("--checks", type=_check_ids, default=",".join(verify.ALL_CHECKS))
     return parser
 
 

@@ -151,8 +151,6 @@ def random_labeled_tree(n: int, rng: random.Random) -> Tree:
     """Uniform random labeled tree via a random Pruefer sequence."""
     if n == 1:
         return Tree(1, [])
-    if n == 2:
-        return Tree(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return prufer_to_tree(seq, n)
 
@@ -162,10 +160,9 @@ def suppress_degree_two(tree: Tree) -> Tree:
 
     Vertices of degree != 2 are kept and relabeled 0..k-1 in original
     label order; each maximal chain of degree-2 vertices becomes one edge.
+    Every tree keeps at least one vertex: a leaf, or its single vertex.
     """
     kept = [v for v in range(tree.n) if tree.degree(v) != 2]
-    if not kept:
-        raise TreeError("cannot suppress: every vertex has degree 2")
     index = {v: i for i, v in enumerate(kept)}
     edges = set()
     for u in kept:

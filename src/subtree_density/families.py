@@ -11,8 +11,6 @@ from .dp import global_stats
 from .rationals import to_decimal
 from .tree import Tree, TreeError, classify_vertices, diameter
 
-FAMILY_NAMES = ("path", "star", "star_chain", "broom", "leafy_path", "starfish")
-
 SWEEP_CAP = 5000
 
 
@@ -33,7 +31,6 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class DensitySequencePoint:
-    param_name: str
     param_value: int
     n: int
     leaves: int
@@ -136,6 +133,8 @@ _CONSTRUCTORS = {
     "starfish": (starfish, ("k", "r")),
 }
 
+FAMILY_NAMES = tuple(_CONSTRUCTORS)
+
 
 def make_family(spec: FamilySpec) -> Tree:
     if spec.name not in _CONSTRUCTORS:
@@ -160,7 +159,6 @@ def family_point(spec: FamilySpec, param_name: str, value: int) -> DensitySequen
     cls = classify_vertices(tree)
     stats = global_stats(tree)
     return DensitySequencePoint(
-        param_name=param_name,
         param_value=value,
         n=tree.n,
         leaves=len(cls.leaves),

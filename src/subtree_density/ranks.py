@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .tree import Tree, orient
 
 _cache: List[Fraction] = [Fraction(1, 2)]
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    root: int
-    ranks: Dict[int, int]
-    m: Tuple[int, ...]
 
 
 def c_sequence(count: int) -> List[Fraction]:
@@ -32,11 +24,11 @@ def c_sequence(count: int) -> List[Fraction]:
     return list(_cache[:count])
 
 
-def rank_profile(tree: Tree, root: int) -> RankProfile:
-    """Ranks of all non-root vertices; the root's rank is left undefined.
+def rank_profile(tree: Tree, root: int) -> Tuple[int, ...]:
+    """The rank histogram m: m[j] counts the non-root vertices of rank j.
 
     A leaf (no children) has rank 0; any other vertex has rank one more
-    than the maximum rank of its children.
+    than the maximum rank of its children.  The root has no rank.
     """
     parent, order = orient(tree, root)
     rank = [0] * tree.n
@@ -44,34 +36,23 @@ def rank_profile(tree: Tree, root: int) -> RankProfile:
         p = parent[u]
         if p != root and rank[u] + 1 > rank[p]:
             rank[p] = rank[u] + 1
-    ranks = {v: rank[v] for v in range(tree.n) if v != root}
-    m = [0] * (max(ranks.values()) + 1) if ranks else []
-    for r in ranks.values():
-        m[r] += 1
-    return RankProfile(root=root, ranks=ranks, m=tuple(m))
-
-
-def is_rooted_series_reduced(tree: Tree, root: int) -> bool:
-    """Membership in the rooted class: root degree >= 2, every other
-    internal vertex degree >= 3, or the single-vertex tree."""
-    if tree.n == 1:
-        return True
-    if tree.degree(root) < 2:
-        return False
-    return all(
-        tree.degree(v) != 2
-        for v in range(tree.n)
-        if v != root
-    )
+    m = [0] * (max((rank[u] for u in order[1:]), default=-1) + 1)
+    for u in order[1:]:
+        m[rank[u]] += 1
+    return tuple(m)
 
 
 def rank_lower_bound(tree: Tree, root: int) -> Fraction:
-    """1 + sum_j c_j * m_j; guaranteed <= lambda(T, root) on the rooted class."""
-    profile = rank_profile(tree, root)
-    if not profile.m:
+    """1 + sum_j c_j * m_j over the rank histogram m.
+
+    It is at most lambda(T, root) on the rooted class: the root has degree
+    at least 2 and every other internal vertex degree at least 3, or the
+    tree is the single vertex.
+    """
+    m = rank_profile(tree, root)
+    if not m:
         return Fraction(1)
-    cs = c_sequence(len(profile.m))
-    return 1 + sum(c * mj for c, mj in zip(cs, profile.m))
+    return 1 + sum(c * mj for c, mj in zip(c_sequence(len(m)), m))
 
 
 def rank_lower_bounds(tree: Tree) -> List[Fraction]:

@@ -75,8 +75,6 @@ class VertexClassification:
     leaves: frozenset
     internal: frozenset
     twigs: frozenset
-    leaves_adjacent_to_twig: frozenset
-    leaves_not_adjacent_to_twig: frozenset
 
 
 def _content_lines(text: str):
@@ -178,14 +176,7 @@ def classify_vertices(tree: Tree) -> VertexClassification:
     twigs = frozenset(
         v for v in internal
         if sum(1 for w in tree.adj[v] if w in leaf_set) >= tree.degree(v) - 1)
-    l1 = frozenset(v for v in leaf_set if any(w in twigs for w in tree.adj[v]))
-    return VertexClassification(
-        leaves=leaf_set,
-        internal=internal,
-        twigs=twigs,
-        leaves_adjacent_to_twig=l1,
-        leaves_not_adjacent_to_twig=leaf_set - l1,
-    )
+    return VertexClassification(leaves=leaf_set, internal=internal, twigs=twigs)
 
 
 def is_series_reduced(tree: Tree) -> bool:
@@ -193,20 +184,6 @@ def is_series_reduced(tree: Tree) -> bool:
     if tree.n < 3:
         return False
     return all(tree.degree(v) != 2 for v in range(tree.n))
-
-
-def leaf_deleted(tree: Tree) -> Tuple[Tree, Tuple[int, ...]]:
-    """Induced tree on internal vertices plus the relabeling (new -> old)."""
-    kept = [v for v in range(tree.n) if tree.degree(v) >= 2]
-    if not kept:
-        raise TreeError("no internal vertices: leaf-deleted tree is empty")
-    index = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (index[u], index[v])
-        for u, v in tree.edges
-        if u in index and v in index
-    ]
-    return Tree(len(kept), edges), tuple(kept)
 
 
 def diameter(tree: Tree) -> int:

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
 from .dp import global_stats, good_anchor, vertex_view, vertex_views
@@ -137,9 +138,6 @@ def _witness(ctx: _TreeContext, **values) -> dict:
 
 
 def _check_c1(ctx, out):
-    if ctx.tree.n < 4:
-        return
-    out.trees_applicable += 1
     total = ctx.stats.subtree_count
     for v in range(ctx.tree.n):
         if ctx.tree.degree(v) == 1 and not 2 * ctx.stats.containment[v] < total:
@@ -149,27 +147,18 @@ def _check_c1(ctx, out):
 
 
 def _check_c2(ctx, out):
-    if not ctx.series_reduced:
-        return
-    out.trees_applicable += 1
     bound = Fraction(3 * ctx.tree.n - 2, 4)
     if not ctx.stats.mu < bound:
         out.violations.append(_witness(ctx, mu=ctx.stats.mu, bound=bound))
 
 
 def _check_c3(ctx, out):
-    if not ctx.series_reduced:
-        return
-    out.trees_applicable += 1
     l = ctx.tree.n - len(ctx.internal)
     if not 2 * l >= ctx.tree.n + 2:
         out.violations.append(_witness(ctx, leaves=l))
 
 
 def _check_c4(ctx, out):
-    if ctx.tree.n < 4:
-        return
-    out.trees_applicable += 1
     mu, mu_prime = ctx.stats.mu, ctx.stats.mu_prime
     if mu > mu_prime:
         out.violations.append(_witness(ctx, mu=mu, mu_prime=mu_prime))
@@ -178,9 +167,6 @@ def _check_c4(ctx, out):
 
 
 def _check_c5(ctx, out):
-    if not ctx.series_reduced:
-        return
-    out.trees_applicable += 1
     twigs = len(classify_vertices(ctx.tree).twigs)
     bound = Fraction(3 * ctx.tree.n, 4) - Fraction(2 * twigs, 5)
     if not ctx.stats.mu < bound:
@@ -188,9 +174,6 @@ def _check_c5(ctx, out):
 
 
 def _check_c7(ctx, out):
-    if not ctx.series_reduced:
-        return
-    out.trees_applicable += 1
     total = ctx.stats.subtree_count
     for v in ctx.internal:
         alpha = ctx.stats.containment[v]
@@ -202,9 +185,6 @@ def _check_c7(ctx, out):
 
 
 def _check_c8(ctx, out):
-    if not ctx.internal:
-        return
-    out.trees_applicable += 1
     leaf_count = ctx.tree.n - len(ctx.internal)
     floor = ctx.tree.n - leaf_count - 1 + 2 ** leaf_count
     for v in ctx.internal:
@@ -217,9 +197,6 @@ def _check_c8(ctx, out):
 
 
 def _check_c9(ctx, out):
-    if not (ctx.series_reduced and ctx.tree.n >= 30):
-        return
-    out.trees_applicable += 1
     v = good_anchor(ctx.tree, ctx.stats)
     if v is None:
         out.violations.append(_witness(ctx, anchor=None))
@@ -230,8 +207,7 @@ def _check_c9(ctx, out):
 
 
 def _check_lambda_bound(ctx, out, bounds):
-    """lambda(T, v) >= bounds[v] at every internal root v of a series-reduced tree."""
-    out.trees_applicable += 1
+    """lambda(T, v) >= bounds[v] at every internal root v."""
     for v in ctx.internal:
         lam = ctx.views[v].lam
         bound = bounds[v]
@@ -242,40 +218,47 @@ def _check_lambda_bound(ctx, out, bounds):
 
 
 def _check_c10(ctx, out):
-    if not ctx.series_reduced:
-        return
     # k = |internal| at every internal root, so one bound serves them all
-    bound = simple_lower_bound(ctx.tree, ctx.internal[0]) if ctx.internal else None
+    bound = simple_lower_bound(ctx.tree, ctx.internal[0])
     _check_lambda_bound(ctx, out, [bound] * ctx.tree.n)
 
 
 def _check_c11(ctx, out):
-    if not ctx.series_reduced:
-        return
     _check_lambda_bound(ctx, out, rank_lower_bounds(ctx.tree))
 
 
 def _check_c12(ctx, out):
-    if not ctx.series_reduced:
-        return
-    out.trees_applicable += 1
     d = ctx.stats.density
     if not Fraction(1, 2) < d < Fraction(3, 4):
         out.violations.append(_witness(ctx, density=d))
 
 
+_series_reduced = attrgetter("series_reduced")
+_has_internal = attrgetter("internal")  # true when the list is not empty
+
+
+def _n_at_least_4(ctx):
+    return ctx.tree.n >= 4
+
+
+def _series_reduced_n30(ctx):
+    return ctx.series_reduced and ctx.tree.n >= 30
+
+
+# check id -> (does it apply to this tree, the check); a tree counts as
+# applicable, and the check runs on it, exactly when the first is true
 _TREE_CHECKS = {
-    "C1": _check_c1,
-    "C2": _check_c2,
-    "C3": _check_c3,
-    "C4": _check_c4,
-    "C5": _check_c5,
-    "C7": _check_c7,
-    "C8": _check_c8,
-    "C9": _check_c9,
-    "C10": _check_c10,
-    "C11": _check_c11,
-    "C12": _check_c12,
+    "C1": (_n_at_least_4, _check_c1),
+    "C2": (_series_reduced, _check_c2),
+    "C3": (_series_reduced, _check_c3),
+    "C4": (_n_at_least_4, _check_c4),
+    "C5": (_series_reduced, _check_c5),
+    "C7": (_series_reduced, _check_c7),
+    "C8": (_has_internal, _check_c8),
+    "C9": (_series_reduced_n30, _check_c9),
+    "C10": (_series_reduced, _check_c10),
+    "C11": (_series_reduced, _check_c11),
+    "C12": (_series_reduced, _check_c12),
 }
 
 
@@ -303,24 +286,26 @@ def _sort_key(record: dict):
 
 def run_checks(trees: Iterable[Tree], checks: Sequence[str],
                config: Optional[dict] = None) -> VerificationReport:
-    """Evaluate the requested checks over a tree stream.
+    """Evaluate the requested checks over a tree stream; a repeated id runs once.
 
     Rooted checks try every internal vertex as root.  The report is
     deterministic: witnesses are ordered by (n, canonical form).
     """
     start = time.monotonic()
-    checks = list(checks)
+    checks = list(dict.fromkeys(checks))
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown check ids: {unknown}")
     outcomes = {c: CheckOutcome(check=c) for c in checks}
-    tree_checks = [c for c in checks if c != "C6"]
+    tree_checks = [(outcomes[c], *_TREE_CHECKS[c]) for c in checks if c != "C6"]
     if tree_checks:
         for tree in trees:
             ctx = _TreeContext(tree)
-            for c in tree_checks:
-                outcomes[c].trees_examined += 1
-                _TREE_CHECKS[c](ctx, outcomes[c])
+            for out, applies, check in tree_checks:
+                out.trees_examined += 1
+                if applies(ctx):
+                    out.trees_applicable += 1
+                    check(ctx, out)
     if "C6" in outcomes:
         outcomes["C6"] = check_stpoly()
     for o in outcomes.values():

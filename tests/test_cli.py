@@ -116,6 +116,14 @@ def test_verify_json(capsys):
     assert code == 0 and blob["report"]["passed"] is True
 
 
+def test_verify_repeated_check_runs_once(capsys):
+    code, out, _ = run(capsys, "verify", "--source", "enum", "--n", "4..6",
+                       "--checks", "C1,C4,C1", "--format", "json")
+    report = json.loads(out)["report"]
+    assert code == 0 and report["config"]["checks"] == ["C1", "C4"]
+    assert [o["trees_examined"] for o in report["checks"]] == [11, 11]  # 2 + 3 + 6 trees
+
+
 def test_verify_file_source(capsys, p4_file):
     code, out, _ = run(capsys, "verify", "--source", "file", "--tree", p4_file,
                        "--checks", "C1,C4")
@@ -174,7 +182,9 @@ def test_unread_flags_rejected(capsys, argv):
 def test_family_sweep_json(capsys):
     code, out, _ = run(capsys, "family", "--family", "path", "--sweep", "n=4..6",
                        "--format", "json")
-    assert code == 0 and [p["n"] for p in json.loads(out)] == [4, 5, 6]
+    points = json.loads(out)
+    assert code == 0 and [p["n"] for p in points] == [4, 5, 6]
+    assert points[0]["density"] == {"num": "1", "den": "2"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -196,6 +206,28 @@ def test_count_below_one_rejected(capsys, argv):
 ])
 def test_bad_or_reversed_range_rejected(capsys, argv):
     assert usage_error(*argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "--tree", "P4", "--decimals", "0"),
+    ("stats", "--tree", "P4", "--decimals", "-3"),
+    ("oracle", "--tree", "P4", "--decimals", "0"),
+    ("family", "--family", "path", "--sweep", "n=4..6", "--decimals", "0"),
+])
+def test_decimals_below_one_rejected(capsys, p4_file, argv):
+    assert usage_error(*(p4_file if a == "P4" else a for a in argv)) == 2
+    assert "--decimals: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks, named", [
+    (",", "no check id"),
+    ("C13", "['C13']"),
+    ("C1,C99,C2", "['C99']"),
+])
+def test_bad_check_ids_rejected(capsys, checks, named):
+    assert usage_error("verify", "--source", "enum", "--n", "4..5",
+                       "--checks", checks) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

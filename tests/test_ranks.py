@@ -8,43 +8,55 @@ from subtree_density.enumeration import enumerate_trees
 from subtree_density.families import FamilySpec, make_family
 from subtree_density.ranks import (
     c_sequence,
-    is_rooted_series_reduced,
     rank_lower_bound,
     rank_lower_bounds,
     rank_profile,
     simple_lower_bound,
 )
+from subtree_density.tree import orient
 
 from test_tree import path, random_trees, star
 
 
+def _rank_histogram(t, root):
+    """Histogram of the explicit definition: the rank of a non-root vertex v
+    is the edge count of a longest path that starts at v and avoids its parent."""
+    parent, _ = orient(t, root)
+
+    def height(v, came_from):
+        return max((1 + height(w, v) for w in t.adj[v] if w != came_from), default=0)
+
+    ranks = [height(v, parent[v]) for v in range(t.n) if v != root]
+    return tuple(ranks.count(j) for j in range(max(ranks, default=-1) + 1))
+
+
 class TestRankProfile:
     def test_star_center(self):
-        assert rank_profile(star(3), 0).m == (3,)
+        assert rank_profile(star(3), 0) == (3,)
 
     def test_p4_second_vertex(self):
-        assert rank_profile(path(4), 1).m == (2, 1)
+        assert rank_profile(path(4), 1) == (2, 1)
 
     def test_broom(self):
         t = make_family(FamilySpec("broom", {"m": 1, "k": 1}))
-        assert rank_profile(t, 0).m == (3, 1)
+        assert rank_profile(t, 0) == (3, 1)
 
     def test_single_vertex(self):
-        p = rank_profile(path(1), 0)
-        assert p.m == () and p.ranks == {}
+        assert rank_profile(path(1), 0) == ()
 
     def test_rank_is_longest_downward_path(self):
-        # explicit definition: longest path starting at v avoiding its parent
-        t = path(6)
-        p = rank_profile(t, 2)
-        assert p.ranks[1] == 1 and p.ranks[0] == 0
-        assert p.ranks[3] == 2 and p.ranks[5] == 0
+        # ranks 1, 0 on the left of vertex 2 and 2, 1, 0 on its right
+        assert rank_profile(path(6), 2) == (2, 2, 1)
+        for n in range(2, 9):
+            for t in enumerate_trees(n):
+                for root in range(t.n):
+                    assert rank_profile(t, root) == _rank_histogram(t, root)
 
     def test_profile_invariants_exhaustive(self):
         for n in range(2, 9):
             for t in enumerate_trees(n):
                 for root in range(t.n):
-                    m = rank_profile(t, root).m
+                    m = rank_profile(t, root)
                     assert sum(m) == t.n - 1
                     assert all(a >= b for a, b in zip(m, m[1:]))
 
@@ -97,12 +109,6 @@ class TestLowerBounds:
     def test_broom_02(self):
         t = make_family(FamilySpec("broom", {"m": 0, "k": 2}))
         assert simple_lower_bound(t, 0) == Fraction(21, 5) == vertex_view(t, 0).lam
-
-    def test_rooted_class_membership(self):
-        assert is_rooted_series_reduced(star(3), 0)
-        assert is_rooted_series_reduced(path(1), 0)
-        assert not is_rooted_series_reduced(star(3), 1)  # leaf root
-        assert not is_rooted_series_reduced(path(4), 1)  # degree-2 non-root
 
     def test_bounds_hold_exhaustively(self):
         # both bounds, every internal root, all series-reduced trees n <= 12

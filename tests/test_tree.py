@@ -9,7 +9,6 @@ from subtree_density.tree import (
     classify_vertices,
     diameter,
     is_series_reduced,
-    leaf_deleted,
     orient,
     parse_tree,
     parse_trees,
@@ -34,6 +33,15 @@ def random_trees(max_n=12):
         seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         return prufer_to_tree(seq, n)
     return st.composite(build)()
+
+
+def leaf_deleted(tree):
+    """Oracle for twigs: the tree induced on the internal vertices, and the
+    relabeling (new -> old).  With no internal vertex it is empty: a TreeError."""
+    kept = [v for v in range(tree.n) if tree.degree(v) >= 2]
+    index = {v: i for i, v in enumerate(kept)}
+    edges = [(index[u], index[v]) for u, v in tree.edges if u in index and v in index]
+    return Tree(len(kept), edges), tuple(kept)
 
 
 class TestConstruction:
@@ -139,14 +147,11 @@ class TestClassification:
         cls = classify_vertices(star(3))
         assert cls.leaves == frozenset({1, 2, 3})
         assert cls.twigs == frozenset({0})
-        assert len(cls.leaves_adjacent_to_twig) == 3
-        assert not cls.leaves_not_adjacent_to_twig
 
     def test_p4(self):
         cls = classify_vertices(path(4))
         assert cls.leaves == frozenset({0, 3})
         assert cls.twigs == frozenset({1, 2})
-        assert cls.leaves_adjacent_to_twig == frozenset({0, 3})
 
     def test_single_vertex_rejected(self):
         with pytest.raises(TreeError, match="undefined"):

@@ -5,6 +5,7 @@ import pytest
 
 from subtree_density import tree as tree_module
 from subtree_density.enumeration import canonical_form, enumerate_trees, sample_series_reduced
+from subtree_density.tree import is_series_reduced
 from subtree_density.verify import ALL_CHECKS, check_stpoly, run_checks
 
 from test_tree import path, star
@@ -104,6 +105,33 @@ class TestRunChecks:
         lines = report.summary_lines()
         assert len(lines) == 3
         assert lines[1].startswith("C1") and lines[1].rstrip().endswith("pass")
+
+    def test_repeated_ids_run_once(self):
+        trees = list(enum_range(4, 8))
+        for check in ("C1", "C12"):
+            once = json.loads(run_checks(trees, [check]).to_json())["report"]
+            twice = json.loads(run_checks(trees, [check, check]).to_json())["report"]
+            assert twice == once
+        assert run_checks(trees, ["C1", "C1"]).outcome("C1").trees_examined == len(trees)
+
+    def test_applicability_per_check(self):
+        trees = list(enum_range(1, 9)) + [path(30), star(28), star(29)]
+        trees += [sample_series_reduced(30, seed) for seed in range(3)]
+        expected = {
+            "n >= 4": sum(t.n >= 4 for t in trees),
+            "series-reduced": sum(is_series_reduced(t) for t in trees),
+            "internal vertex": sum(t.n >= 3 for t in trees),
+            "series-reduced, n >= 30": sum(is_series_reduced(t) and t.n >= 30
+                                           for t in trees),
+        }
+        rule = {"C1": "n >= 4", "C4": "n >= 4", "C8": "internal vertex",
+                "C9": "series-reduced, n >= 30"}
+        tree_checks = [c for c in ALL_CHECKS if c != "C6"]
+        report = run_checks(trees, tree_checks)
+        for c in tree_checks:
+            out = report.outcome(c)
+            assert out.trees_examined == len(trees)
+            assert out.trees_applicable == expected[rule.get(c, "series-reduced")], c
 
     def test_all_check_ids_known(self):
         report = run_checks(enum_range(4, 5), list(ALL_CHECKS))
