@@ -5,12 +5,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import List, Tuple
 
 from . import dp, enumeration, families, oracle, verify
 from .rationals import format_ratio, ratio_json, to_decimal
 from .tree import BLOCK_SEPARATOR, Tree, TreeError, parse_trees, serialize
+
+
+DECIMALS = 12
 
 
 class UsageError(Exception):
@@ -99,6 +103,7 @@ def _output(args):
             yield fh
     else:
         yield sys.stdout
+        sys.stdout.flush()  # a reader that closed stdout shows up here, not at exit
 
 
 def _stats_text(stats: dp.SubtreeStats, digits: int) -> str:
@@ -122,11 +127,13 @@ def cmd_stats(args) -> int:
         if args.format == "json":
             _emit(out, json.dumps(stats.to_json_dict(), sort_keys=True, indent=2))
         else:
-            out.write(_stats_text(stats, args.decimals))
+            out.write(_stats_text(stats, args.decimals or DECIMALS))
     return 0
 
 
 def cmd_oracle(args) -> int:
+    if args.dump and (args.format or args.decimals):
+        raise UsageError("--format and --decimals are not read with --dump")
     tree = _load_trees(args.tree)[0]
     with _output(args) as out:
         if args.dump:
@@ -138,7 +145,7 @@ def cmd_oracle(args) -> int:
         if args.format == "json":
             _emit(out, json.dumps(brute.to_json_dict(), sort_keys=True, indent=2))
         else:
-            out.write(_stats_text(brute, args.decimals))
+            out.write(_stats_text(brute, args.decimals or DECIMALS))
         if brute != fast:
             _emit(out, "MISMATCH: oracle disagrees with the DP computation")
             return 1
@@ -155,6 +162,8 @@ def _family_spec(args) -> families.FamilySpec:
 def cmd_family(args) -> int:
     spec = _family_spec(args)
     sweep = _parse_sweep(args.sweep) if args.sweep else None
+    if not sweep and (args.format or args.decimals):
+        raise UsageError("--format and --decimals are read only with --sweep")
     with _output(args) as out:
         if sweep:
             name, (lo, hi) = sweep
@@ -166,7 +175,7 @@ def cmd_family(args) -> int:
                     "density": ratio_json(p.density),
                 } for p in points], sort_keys=True, indent=2))
             else:
-                families.write_sweep_csv(points, out, digits=args.decimals)
+                families.write_sweep_csv(points, out, digits=args.decimals or DECIMALS)
         else:
             out.write(serialize(families.make_family(spec)))
     return 0
@@ -260,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         if formats:
-            p.add_argument("--format", choices=formats, default=formats[0])
+            p.add_argument("--format", choices=formats, help=f"default {formats[0]}")
         if decimals:
-            p.add_argument("--decimals", type=_positive_int, default=12)
+            p.add_argument("--decimals", type=_positive_int, help=f"default {DECIMALS}")
         p.add_argument("--out", default=None)
         if tree:
             p.add_argument("--tree", required=True, help="tree file path")
@@ -307,10 +316,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # exact counts of large trees exceed 4300 digits
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "format", None) == "json" and getattr(args, "decimals", None):
+        parser.error("--decimals is not read with --format json")
     try:
         return args.run(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits with code 2
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does: end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
+        return 0
     except (TreeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,16 +1,15 @@
 """Free-tree enumeration up to isomorphism, canonical forms, random sampling.
 
-Rooted trees are generated by the level-sequence successor method (each
-rooted isomorphism class exactly once, in decreasing lexicographic order of
-canonical level sequence); free trees are obtained by deduplicating on a
-centroid-rooted canonical form.
+Each tree is built once, as a root above a multiset of smaller rooted trees:
+a free tree is its centroid above branches of fewer than n/2 vertices, or
+two n/2-vertex rooted trees joined at the central edge (Otter 1948).
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .tree import Tree, TreeError, is_series_reduced, orient
 
@@ -18,29 +17,53 @@ ENUM_CAP = 18
 SAMPLE_RETRIES = 1000
 
 
-def rooted_level_sequences(n: int) -> Iterator[Tuple[int, ...]]:
-    """Canonical level sequences of all rooted trees on n vertices.
+def _hang(branches: List[List[int]]) -> List[int]:
+    """Canonical level sequence of a new root above `branches`, largest first."""
+    levels = [0]
+    for branch in sorted(branches, reverse=True):
+        levels += [x + 1 for x in branch]
+    return levels
 
-    Levels start at 0 for the root.  Successor rule: find the last entry
-    p with level > 1, locate its parent q, then repeat the segment L[q:p]
-    cyclically to the end.
-    """
-    if n == 1:
-        yield (0,)
-        return
-    levels = list(range(n))
-    while True:
-        yield tuple(levels)
-        p = max((i for i in range(n) if levels[i] > 1), default=-1)
-        if p < 0:
+
+def _multisets(pool: List[List[int]], total: int, start: int = 0) -> Iterator[List[List[int]]]:
+    """Multisets of trees from pool[start:], which is sorted by size, with `total` vertices."""
+    if total == 0:
+        yield []
+    for i in range(start, len(pool)):
+        if len(pool[i]) > total:
             return
-        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
-        period = p - q
-        for i in range(p, n):
-            levels[i] = levels[i - period]
+        for rest in _multisets(pool, total - len(pool[i]), i):
+            rest.append(pool[i])
+            yield rest
 
 
-def tree_from_level_sequence(levels: Tuple[int, ...]) -> Tree:
+def _rooted_pool(m: int, series_reduced: bool) -> List[List[int]]:
+    """Rooted trees on at most m vertices, by size; under `series_reduced`, no one-child vertex."""
+    pool: List[List[int]] = []
+    for size in range(1, m + 1):
+        pool += [_hang(branches) for branches in _multisets(pool, size - 1)
+                 if not (series_reduced and len(branches) == 1)]
+    return pool
+
+
+def rooted_level_sequences(n: int) -> Iterator[Tuple[int, ...]]:
+    """Canonical level sequences of all rooted trees on n vertices, in decreasing order."""
+    yield from sorted((tuple(s) for s in _rooted_pool(n, False) if len(s) == n), reverse=True)
+
+
+def _free_level_sequences(n: int, series_reduced: bool) -> Iterator[List[int]]:
+    """A level sequence of each free tree on n vertices, built around its centroid."""
+    if series_reduced and n < 3:
+        return  # a series-reduced tree has an internal vertex
+    pool = _rooted_pool(n // 2, series_reduced)
+    for branches in _multisets([s for s in pool if 2 * len(s) < n], n - 1):
+        if len(branches) >= 3 or not series_reduced:
+            yield _hang(branches)
+    for half, other in _multisets([s for s in pool if 2 * len(s) == n], n):
+        yield half + [x + 1 for x in other]
+
+
+def tree_from_level_sequence(levels: Sequence[int]) -> Tree:
     """Build the tree; vertex i's parent is the last j < i at level[i]-1."""
     n = len(levels)
     last_at = {levels[0]: 0}
@@ -75,28 +98,14 @@ def centroids(tree: Tree) -> List[int]:
     return found
 
 
-def _rooted_code(tree: Tree, root: int) -> tuple:
-    """Nested-tuple AHU code of the tree rooted at `root` (iterative)."""
+def _rooted_levels(tree: Tree, root: int) -> List[int]:
+    """Canonical level sequence of `tree` rooted at `root`."""
     parent, order = orient(tree, root)
-    codes: List[tuple] = [()] * tree.n
-    kids = [[] for _ in range(tree.n)]
+    below: List[list] = [[] for _ in range(tree.n)]
     for u in order[:0:-1]:
-        codes[u] = tuple(sorted(kids[u], reverse=True))
-        kids[parent[u]].append(codes[u])
-    codes[root] = tuple(sorted(kids[root], reverse=True))
-    return codes[root]
-
-
-def _flatten(code: tuple) -> Tuple[int, ...]:
-    out = []
-    stack = [(code, 0)]
-    while stack:
-        node, depth = stack.pop()
-        out.append(depth)
-        # push children reversed so they emerge in canonical order
-        for child in reversed(node):
-            stack.append((child, depth + 1))
-    return tuple(out)
+        below[parent[u]].append(_hang(below[u]))
+        below[u] = None  # a path would otherwise keep quadratically many levels
+    return _hang(below[root])
 
 
 def canonical_form(tree: Tree) -> Tuple[int, ...]:
@@ -105,28 +114,24 @@ def canonical_form(tree: Tree) -> Tuple[int, ...]:
     For bicentroidal trees the lexicographically smaller of the two
     encodings is used.  Equal forms iff isomorphic.
     """
-    return min(_flatten(_rooted_code(tree, c)) for c in centroids(tree))
+    return tuple(min(_rooted_levels(tree, c) for c in centroids(tree)))
 
 
 def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
     """One representative per free-tree isomorphism class on n vertices.
 
-    Series-reducedness is an isomorphism invariant, so filtering before the
-    dedup drops whole classes and keeps the same first representative of
-    every other one.
+    A class's representative is its greatest canonical rooted level
+    sequence, which a peripheral leaf attains, labelled in preorder; the
+    classes come out in decreasing order of it.
     """
     if not 1 <= n <= ENUM_CAP:
         raise TreeError(f"enumeration requires 1 <= n <= {ENUM_CAP}, got {n}")
-    seen = set()
-    for levels in rooted_level_sequences(n):
+    found = []
+    for levels in _free_level_sequences(n, series_reduced):
         tree = tree_from_level_sequence(levels)
-        if series_reduced and not is_series_reduced(tree):
-            continue
-        code = canonical_form(tree)
-        if code in seen:
-            continue
-        seen.add(code)
-        yield tree
+        found.append(max(_rooted_levels(tree, v) for v in range(n) if tree.degree(v) < 2))
+    for levels in sorted(found, reverse=True):
+        yield tree_from_level_sequence(levels)
 
 
 def prufer_to_tree(seq: List[int], n: int) -> Tree:

@@ -7,6 +7,7 @@ import pytest
 
 from subtree_density.dp import edge_counts, global_stats, good_anchor, vertex_view
 from subtree_density.enumeration import (
+    ENUM_CAP,
     canonical_form,
     enumerate_trees,
     sample_series_reduced,
@@ -85,7 +86,7 @@ def test_criterion_3_density_window():
     half, three_quarters = Fraction(1, 2), Fraction(3, 4)
     outside = []
     at_half = []
-    for t in series_reduced_trees(4, 16):
+    for t in series_reduced_trees(4, ENUM_CAP):
         d = global_stats(t).density
         if not half <= d < three_quarters:
             outside.append((t.n, t.edges, d))
@@ -95,7 +96,7 @@ def test_criterion_3_density_window():
     ok = ok and [canonical_form(t) for t in at_half] == [DOUBLE_STAR_FORM]
     ok = ok and all((total, sum(alpha)) == (28, 84)
                     for total, alpha, _, _ in map(oracle_tally, at_half))
-    detail = ("1/2 <= D(T) < 3/4 for all series-reduced trees, 4 <= n <= 16; "
+    detail = (f"1/2 <= D(T) < 3/4 for all series-reduced trees, 4 <= n <= {ENUM_CAP}; "
               "D = 1/2 only at the six-vertex double star (28 subtrees, order sum 84)")
     if outside:
         detail += f"; outside the window: {outside}"

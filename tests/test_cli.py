@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -141,6 +143,23 @@ def test_domain_error_exit_code(capsys, tmp_path):
     bad.write_text("3\n0 1\n1 2\n2 0\n")
     code, _, err = run(capsys, "stats", "--tree", str(bad))
     assert code == 1 and "error:" in err
+    code, _, err = run(capsys, "stats", "--tree", str(tmp_path / "missing.tree"))
+    assert code == 1 and "No such file" in err
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader is gone before the first write, as after `| head -1`
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "subtree_density.cli", "enumerate", "--n", "4..14",
+             "--series-reduced"], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def usage_error(*argv):
@@ -177,6 +196,31 @@ def test_parse_error_names_file_line(capsys, tmp_path):
 ])
 def test_unread_flags_rejected(capsys, argv):
     assert usage_error(*argv) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("family", "--family", "path", "--params", "n=3", "--format", "json", "--decimals", "3"),
+     "--decimals is not read with --format json"),
+    (("family", "--family", "path", "--params", "n=3", "--format", "csv"),
+     "--format and --decimals are read only with --sweep"),
+    (("family", "--family", "path", "--params", "n=3", "--decimals", "3"),
+     "--format and --decimals are read only with --sweep"),
+    (("family", "--family", "path", "--sweep", "n=4..6", "--format", "json", "--decimals", "3"),
+     "--decimals is not read with --format json"),
+    (("oracle", "--tree", "P4", "--dump", "--format", "json", "--decimals", "3"),
+     "--decimals is not read with --format json"),
+    (("oracle", "--tree", "P4", "--dump", "--format", "text"),
+     "--format and --decimals are not read with --dump"),
+    (("oracle", "--tree", "P4", "--dump", "--decimals", "3"),
+     "--format and --decimals are not read with --dump"),
+    (("oracle", "--tree", "P4", "--format", "json", "--decimals", "3"),
+     "--decimals is not read with --format json"),
+    (("stats", "--tree", "P4", "--format", "json", "--decimals", "3"),
+     "--decimals is not read with --format json"),
+])
+def test_flags_this_run_leaves_unread_rejected(capsys, p4_file, argv, message):
+    assert usage_error(*(p4_file if a == "P4" else a for a in argv)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_family_sweep_json(capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from subtree_density.enumeration import (
+    ENUM_CAP,
     canonical_form,
     centroids,
     enumerate_trees,
@@ -18,15 +19,50 @@ from subtree_density.tree import Tree, TreeError, is_series_reduced
 
 from test_tree import path, star
 
-# free trees up to isomorphism on 1..10 vertices
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+# free trees up to isomorphism on 1..14 vertices (OEIS A000055)
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
 
-# series-reduced trees on 1..12 vertices
-SERIES_REDUCED_COUNTS = [0, 0, 0, 1, 1, 2, 2, 4, 5, 10, 14, 26]
+# series-reduced trees on 1..ENUM_CAP vertices (OEIS A000014)
+SERIES_REDUCED_COUNTS = [0, 0, 0, 1, 1, 2, 2, 4, 5, 10, 14, 26, 42, 78, 132, 249, 445, 842]
+
+# rooted trees on 1..10 vertices (OEIS A000081)
+ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 
 
 def relabel(tree, perm):
     return Tree(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
+
+
+def reference_rooted_level_sequences(n):
+    """Canonical level sequences of the rooted trees on n vertices, in decreasing
+    order, by the successor rule: find the last entry p with level > 1, locate
+    its parent q, then repeat the segment L[q:p] cyclically to the end."""
+    if n == 1:
+        yield (0,)
+        return
+    levels = list(range(n))
+    while True:
+        yield tuple(levels)
+        p = max((i for i in range(n) if levels[i] > 1), default=-1)
+        if p < 0:
+            return
+        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+        period = p - q
+        for i in range(p, n):
+            levels[i] = levels[i - period]
+
+
+def reference_enumerate_trees(n, series_reduced=False):
+    """Generate and dedup: the first rooting of each class among all rooted trees."""
+    seen = set()
+    for levels in reference_rooted_level_sequences(n):
+        tree = tree_from_level_sequence(levels)
+        if series_reduced and not is_series_reduced(tree):
+            continue
+        code = canonical_form(tree)
+        if code not in seen:
+            seen.add(code)
+            yield tree
 
 
 class TestCanonicalForm:
@@ -53,6 +89,10 @@ class TestCanonicalForm:
             for perm in itertools.permutations(range(6)):
                 assert canonical_form(relabel(t, list(perm))) == code
 
+    def test_long_path_closed_form(self):
+        # rooted at a middle vertex: the longer half, then the shorter one
+        assert canonical_form(path(5000)) == (0, *range(1, 2501), *range(1, 2500))
+
     def test_centroids(self):
         assert centroids(path(4)) == [1, 2]
         assert centroids(star(5)) == [0]
@@ -66,11 +106,24 @@ class TestEnumeration:
         trees = [tree_from_level_sequence(s) for s in seqs]
         assert len(trees) == 4  # rooted trees on 4 vertices
 
+    def test_rooted_level_sequences_match_reference(self):
+        for n, expected in enumerate(ROOTED_TREE_COUNTS, start=1):
+            seqs = list(rooted_level_sequences(n))
+            assert seqs == list(reference_rooted_level_sequences(n))
+            assert len(seqs) == expected
+
+    @pytest.mark.parametrize("series_reduced, top", [(True, 14), (False, 11)])
+    def test_same_trees_labels_and_order_as_reference(self, series_reduced, top):
+        for n in range(1, top + 1):
+            assert (list(enumerate_trees(n, series_reduced=series_reduced))
+                    == list(reference_enumerate_trees(n, series_reduced=series_reduced)))
+
     def test_small_census(self):
         for n, expected in enumerate(FREE_TREE_COUNTS, start=1):
             assert sum(1 for _ in enumerate_trees(n)) == expected
 
     def test_series_reduced_census(self):
+        assert len(SERIES_REDUCED_COUNTS) == ENUM_CAP
         for n, expected in enumerate(SERIES_REDUCED_COUNTS, start=1):
             got = sum(1 for _ in enumerate_trees(n, series_reduced=True))
             assert got == expected
@@ -88,7 +141,7 @@ class TestEnumeration:
         assert len(sr) == 1 and canonical_form(sr[0]) == canonical_form(star(3))
 
     def test_no_duplicate_forms(self):
-        for n in range(1, 10):
+        for n in range(1, 15):
             codes = [canonical_form(t) for t in enumerate_trees(n)]
             assert len(codes) == len(set(codes))
 
