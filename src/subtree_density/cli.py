@@ -9,7 +9,7 @@ import os
 import sys
 from typing import List, Tuple
 
-from . import dp, enumeration, families, oracle, verify
+from . import dp, enumeration, families, oracle, ranks, verify
 from .rationals import format_ratio, ratio_json, to_decimal
 from .tree import BLOCK_SEPARATOR, Tree, TreeError, parse_trees, serialize
 
@@ -77,6 +77,8 @@ def _parse_params(text: str) -> dict:
         if not eq:
             raise UsageError(f"bad parameter {item!r}, expected name=value")
         key = key.strip()
+        if key in params:
+            raise UsageError(f"parameter {key!r} is given twice in --params")
         try:
             params[key] = int(value)
         except ValueError:
@@ -89,10 +91,12 @@ def _load_trees(path: str) -> List[Tree]:
         return parse_trees(fh.read())
 
 
-def _emit(out, text: str):
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
+def _load_tree(args) -> Tree:
+    """The tree in the --tree file of `stats` or `oracle`, which read one."""
+    trees = _load_trees(args.tree)
+    if len(trees) > 1:
+        raise TreeError(f"{args.tree} holds {len(trees)} trees; {args.command} reads one")
+    return trees[0]
 
 
 @contextlib.contextmanager
@@ -106,62 +110,56 @@ def _output(args):
         sys.stdout.flush()  # a reader that closed stdout shows up here, not at exit
 
 
-def _stats_text(stats: dp.SubtreeStats, digits: int) -> str:
-    lines = [
-        f"n={stats.n}",
-        f"subtrees={stats.subtree_count}",
-        f"order_sum={stats.order_sum}",
-        f"mu={format_ratio(stats.mu)} ({to_decimal(stats.mu, digits)})",
-        f"density={format_ratio(stats.density)} ({to_decimal(stats.density, digits)})",
-    ]
-    if stats.mu_prime is not None:
-        lines.append(
-            f"mu_prime={format_ratio(stats.mu_prime)} ({to_decimal(stats.mu_prime, digits)})")
-    return "\n".join(lines) + "\n"
+def _write_stats(out, stats: dp.SubtreeStats, args):
+    """`stats` as JSON, or as text with --decimals significant digits."""
+    if args.format == "json":
+        print(json.dumps(stats.to_json_dict(), sort_keys=True, indent=2), file=out)
+        return
+    digits = args.decimals or DECIMALS
+    means = [("mu", stats.mu), ("density", stats.density), ("mu_prime", stats.mu_prime)]
+    print(f"n={stats.n}", f"subtrees={stats.subtree_count}", f"order_sum={stats.order_sum}",
+          *(f"{name}={format_ratio(v)} ({to_decimal(v, digits)})"
+            for name, v in means if v is not None), sep="\n", file=out)
 
 
 def cmd_stats(args) -> int:
-    tree = _load_trees(args.tree)[0]
-    stats = dp.global_stats(tree)
+    stats = dp.global_stats(_load_tree(args))
     with _output(args) as out:
-        if args.format == "json":
-            _emit(out, json.dumps(stats.to_json_dict(), sort_keys=True, indent=2))
-        else:
-            out.write(_stats_text(stats, args.decimals or DECIMALS))
+        _write_stats(out, stats, args)
     return 0
 
 
 def cmd_oracle(args) -> int:
     if args.dump and (args.format or args.decimals):
         raise UsageError("--format and --decimals are not read with --dump")
-    tree = _load_trees(args.tree)[0]
+    tree = _load_tree(args)
     with _output(args) as out:
         if args.dump:
             for line in oracle.dump_subsets(tree):
-                _emit(out, line)
+                print(line, file=out)
             return 0
         brute = oracle.oracle_stats(tree)
-        fast = dp.global_stats(tree)
-        if args.format == "json":
-            _emit(out, json.dumps(brute.to_json_dict(), sort_keys=True, indent=2))
-        else:
-            out.write(_stats_text(brute, args.decimals or DECIMALS))
-        if brute != fast:
-            _emit(out, "MISMATCH: oracle disagrees with the DP computation")
+        _write_stats(out, brute, args)
+        if brute != dp.global_stats(tree):
+            print("MISMATCH: oracle disagrees with the DP computation", file=out)
             return 1
-        _emit(out, "agreement=ok")
+        print("agreement=ok", file=out)
         return 0
 
 
-def _family_spec(args) -> families.FamilySpec:
+def _family_spec(args):
+    """--family and --params as a spec, and --sweep as (name, (lo, hi)) or None."""
     if not args.family:
         raise UsageError("--family NAME is required")
-    return families.FamilySpec(args.family, _parse_params(args.params or ""))
+    spec = families.FamilySpec(args.family, _parse_params(args.params or ""))
+    sweep = _parse_sweep(args.sweep) if args.sweep else None
+    if sweep and sweep[0] in spec.params:
+        raise UsageError(f"parameter {sweep[0]!r} is given by both --params and --sweep")
+    return spec, sweep
 
 
 def cmd_family(args) -> int:
-    spec = _family_spec(args)
-    sweep = _parse_sweep(args.sweep) if args.sweep else None
+    spec, sweep = _family_spec(args)
     if not sweep and (args.format or args.decimals):
         raise UsageError("--format and --decimals are read only with --sweep")
     with _output(args) as out:
@@ -169,11 +167,11 @@ def cmd_family(args) -> int:
             name, (lo, hi) = sweep
             points = families.density_sweep(spec, name, range(lo, hi + 1))
             if args.format == "json":
-                _emit(out, json.dumps([{
+                print(json.dumps([{
                     "param": p.param_value, "n": p.n, "leaves": p.leaves,
                     "twigs": p.twigs, "diameter": p.diameter,
                     "density": ratio_json(p.density),
-                } for p in points], sort_keys=True, indent=2))
+                } for p in points], sort_keys=True, indent=2), file=out)
             else:
                 families.write_sweep_csv(points, out, digits=args.decimals or DECIMALS)
         else:
@@ -196,7 +194,7 @@ def _write_trees(args, trees) -> int:
     with _output(args) as out:
         for i, tree in enumerate(trees):
             if i:
-                _emit(out, BLOCK_SEPARATOR)
+                print(BLOCK_SEPARATOR, file=out)
             out.write(serialize(tree))
     return 0
 
@@ -210,10 +208,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_cseq(args) -> int:
-    from .ranks import c_sequence
     with _output(args) as out:
-        for j, c in enumerate(c_sequence(args.count)):
-            _emit(out, f"{j} {format_ratio(c)} {to_decimal(c, 15)}")
+        for j, c in enumerate(ranks.c_sequence(args.count)):
+            print(f"{j} {format_ratio(c)} {to_decimal(c, 15)}", file=out)
     return 0
 
 
@@ -224,37 +221,46 @@ def _verify_trees(args):
     if args.source == "sample":
         return _sampled(args)
     if args.source == "family":
-        spec = _family_spec(args)
-        if not args.sweep:
+        spec, sweep = _family_spec(args)
+        if not sweep:
             return [families.make_family(spec)]
-        name, (lo, hi) = _parse_sweep(args.sweep)
+        name, (lo, hi) = sweep
         return (families.make_family(spec.with_param(name, v)) for v in range(lo, hi + 1))
     if not args.tree:
         raise UsageError("--source file needs --tree")
     return _load_trees(args.tree)
 
 
+# the flags that each --source reads; another of them, if given, is a usage error
+_SOURCE_FLAGS = {
+    "enum": ("n", "series_reduced"),
+    "sample": ("n", "seed", "count"),
+    "family": ("family", "params", "sweep"),
+    "file": ("tree",),
+}
+
+
 def cmd_verify(args) -> int:
-    if args.n is None:
-        if args.source == "sample":
-            raise UsageError("--source sample needs --n N")
-        args.n = "4..12"
-    config = {
-        "source": args.source,
-        "checks": args.checks,
-        "n": args.n,
-        "series_reduced": args.series_reduced,
-        "seed": args.seed,
-        "count": args.count,
-    }
+    unread = [flag for flags in _SOURCE_FLAGS.values() for flag in flags
+              if flag not in _SOURCE_FLAGS[args.source] and getattr(args, flag) is not None]
+    if unread:
+        names = ", ".join(dict.fromkeys("--" + flag.replace("_", "-") for flag in unread))
+        raise UsageError(f"--source {args.source} does not read {names}")
+    if args.source == "sample" and args.n is None:
+        raise UsageError("--source sample needs --n N")
+    defaults = {"n": "4..12", "series_reduced": False, "seed": 0, "count": 200}
+    for flag, value in defaults.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
+    config = {"source": args.source, "checks": args.checks,
+              **{flag: getattr(args, flag) for flag in defaults}}
     report = verify.run_checks(_verify_trees(args), args.checks, config=config)
     with _output(args) as out:
         if args.format == "json":
-            _emit(out, report.to_json())
+            print(report.to_json(), file=out)
         else:
-            for line in report.summary_lines():
-                _emit(out, line)
-            _emit(out, "result=" + ("pass" if report.passed else "FAIL"))
+            print(*report.summary_lines(), sep="\n", file=out)
+            print("result=" + ("pass" if report.passed else "FAIL"), file=out)
     return 0 if report.passed else 1
 
 
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, run, formats=(), decimals=False, tree=False, family=False,
-            n_help=None, seed=False, count=None):
+            n_help=None, count=None):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         if formats:
@@ -277,12 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tree", required=True, help="tree file path")
         if family:
             p.add_argument("--family", choices=families.FAMILY_NAMES)
-            p.add_argument("--params", default="", help="e.g. k=3,r=2")
-            p.add_argument("--sweep", default=None, help="e.g. r=1..20")
+            p.add_argument("--params", help="e.g. k=3,r=2")
+            p.add_argument("--sweep", help="e.g. r=1..20")
         if n_help:
             p.add_argument("--n", required=True, help=n_help)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
         if count is not None:
             p.add_argument("--count", type=_positive_int, default=count)
         return p
@@ -297,16 +301,19 @@ def build_parser() -> argparse.ArgumentParser:
         formats=("csv", "json"), decimals=True, family=True)
     p = add("enumerate", "all free trees up to isomorphism", cmd_enumerate, n_help="N or A..B")
     p.add_argument("--series-reduced", action="store_true")
-    add("sample", "random series-reduced trees", cmd_sample,
-        n_help="N, the least vertex count", seed=True, count=1)
+    p = add("sample", "random series-reduced trees", cmd_sample,
+            n_help="N, the least vertex count", count=1)
+    p.add_argument("--seed", type=int, default=0)
     add("cseq", "coefficient sequence c_j", cmd_cseq, count=6)
     p = add("verify", "run inequality checks over a tree stream", cmd_verify,
-            formats=text_json, family=True, seed=True, count=200)
-    p.add_argument("--source", choices=("enum", "sample", "family", "file"), required=True)
-    p.add_argument("--n", default=None,
-                   help="A..B for enum (default 4..12); N for sample, where it is required")
-    p.add_argument("--series-reduced", action="store_true")
-    p.add_argument("--tree", default=None, help="tree file for --source file")
+            formats=text_json, family=True)
+    p.add_argument("--source", choices=tuple(_SOURCE_FLAGS), required=True)
+    # no defaults here, so cmd_verify can tell which flags were given
+    p.add_argument("--n", help="A..B for enum (default 4..12); N for sample, where it is required")
+    p.add_argument("--series-reduced", action="store_true", default=None, help="enum")
+    p.add_argument("--seed", type=int, help="sample; default 0")
+    p.add_argument("--count", type=_positive_int, help="sample; default 200")
+    p.add_argument("--tree", help="tree file for --source file")
     p.add_argument("--checks", type=_check_ids, default=",".join(verify.ALL_CHECKS))
     return parser
 

@@ -149,31 +149,29 @@ def make_family(spec: FamilySpec) -> Tree:
     return ctor(*(spec.params[p] for p in names))
 
 
-def family_point(spec: FamilySpec, param_name: str, value: int) -> DensitySequencePoint:
-    tree = make_family(spec.with_param(param_name, value))
-    if tree.n > SWEEP_CAP:
-        raise FamilyError(
-            f"sweep instance {param_name}={value} has {tree.n} vertices > cap {SWEEP_CAP}")
-    if tree.n < 2:
-        raise FamilyError(f"sweep instance {param_name}={value} has fewer than 2 vertices")
-    cls = classify_vertices(tree)
-    stats = global_stats(tree)
-    return DensitySequencePoint(
-        param_value=value,
-        n=tree.n,
-        leaves=len(cls.leaves),
-        twigs=len(cls.twigs),
-        diameter=diameter(tree),
-        density=stats.density,
-        leaf_fraction=Fraction(len(cls.leaves), tree.n),
-        twig_fraction=Fraction(len(cls.twigs), tree.n),
-    )
-
-
 def density_sweep(spec: FamilySpec, param_name: str,
                   values: Iterable[int]) -> List[DensitySequencePoint]:
     """Exact per-instance statistics along one swept integer parameter."""
-    return [family_point(spec, param_name, v) for v in values]
+    points = []
+    for value in values:
+        tree = make_family(spec.with_param(param_name, value))
+        if tree.n > SWEEP_CAP:
+            raise FamilyError(
+                f"sweep instance {param_name}={value} has {tree.n} vertices > cap {SWEEP_CAP}")
+        if tree.n < 2:
+            raise FamilyError(f"sweep instance {param_name}={value} has fewer than 2 vertices")
+        cls = classify_vertices(tree)
+        points.append(DensitySequencePoint(
+            param_value=value,
+            n=tree.n,
+            leaves=len(cls.leaves),
+            twigs=len(cls.twigs),
+            diameter=diameter(tree),
+            density=global_stats(tree).density,
+            leaf_fraction=Fraction(len(cls.leaves), tree.n),
+            twig_fraction=Fraction(len(cls.twigs), tree.n),
+        ))
+    return points
 
 
 SWEEP_CSV_COLUMNS = (
@@ -183,7 +181,7 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def write_sweep_csv(points: List[DensitySequencePoint], fh, digits: int = 12):
+def write_sweep_csv(points: List[DensitySequencePoint], fh, digits: int):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
     for p in points:

@@ -6,7 +6,7 @@ import decimal
 from fractions import Fraction
 
 
-def to_decimal(value: Fraction, digits: int = 12) -> str:
+def to_decimal(value: Fraction, digits: int) -> str:
     """Decimal rendering of an exact rational to `digits` significant digits."""
     with decimal.localcontext() as ctx:
         ctx.prec = digits

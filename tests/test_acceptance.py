@@ -19,6 +19,7 @@ from subtree_density.tree import Tree, diameter
 from subtree_density.verify import run_checks
 
 from test_tree import path
+from test_verify import outcome
 
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11,
                     8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -118,11 +119,11 @@ def test_criterion_4_inequality_suite():
     failed = [o.check for r in (general, sr) for o in r.outcomes
               if not o.passed and o.check != "C12"]
     ok = not failed
-    c12 = sr.outcome("C12")
+    c12 = outcome(sr, "C12")
     ok = ok and c12.violations == DOUBLE_STAR_C12
-    c4 = general.outcome("C4")
+    c4 = outcome(general, "C4")
     ok = ok and [e["canonical_form"] for e in c4.equality_cases] == [list(canonical_form(path(4)))]
-    c6 = general.outcome("C6")
+    c6 = outcome(general, "C6")
     ok = ok and [e["a"] for e in c6.equality_cases] == [2, 3]
     elapsed = time.monotonic() - start
     detail = (f"C4 equality = {{P4}}, stpoly equality = {{2, 3}}, "

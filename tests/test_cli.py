@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -288,9 +290,12 @@ def test_verify_sample_needs_n(capsys):
 
 
 def test_verify_default_n_is_enum_range(capsys):
+    # the config keeps the defaults of the flags that the source leaves unread
     code, out, _ = run(capsys, "verify", "--source", "family", "--family", "path",
                        "--params", "n=5", "--checks", "C1", "--format", "json")
-    assert code == 0 and json.loads(out)["report"]["config"]["n"] == "4..12"
+    config = json.loads(out)["report"]["config"]
+    assert code == 0 and config["n"] == "4..12"
+    assert (config["series_reduced"], config["seed"], config["count"]) == (False, 0, 200)
 
 
 def test_verify_config_keeps_typed_n(capsys):
@@ -322,3 +327,71 @@ def test_out_file(capsys, tmp_path):
     code, out, _ = run(capsys, "cseq", "--count", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[1].startswith("1 3/5")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--source", "file", "--tree", "P4", "--n", "4..9"), "--source file does not read --n"),
+    (("--source", "enum", "--n", "4..5", "--seed", "7", "--count", "3", "--family", "path"),
+     "--source enum does not read --seed, --count, --family"),
+    (("--source", "enum", "--seed", "0"), "--source enum does not read --seed"),
+    (("--source", "sample", "--n", "20", "--series-reduced"),
+     "--source sample does not read --series-reduced"),
+    (("--source", "sample", "--n", "20", "--tree", "P4"), "--source sample does not read --tree"),
+    (("--source", "family", "--family", "path", "--params", "n=5", "--n", "4"),
+     "--source family does not read --n"),
+    (("--source", "file", "--tree", "P4", "--sweep", "n=4..5"),
+     "--source file does not read --sweep"),
+])
+def test_verify_flags_its_source_leaves_unread_rejected(capsys, p4_file, argv, named):
+    assert usage_error("verify", *(p4_file if a == "P4" else a for a in argv)) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.fixture
+def two_tree_file(tmp_path):
+    f = tmp_path / "two.tree"
+    f.write_text("4\n0 1\n1 2\n2 3\n---\n4\n0 1\n0 2\n0 3\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("command", [("stats",), ("oracle",), ("oracle", "--dump")])
+def test_stats_and_oracle_read_one_tree(capsys, two_tree_file, command):
+    code, out, err = run(capsys, *command, "--tree", two_tree_file)
+    assert (code, out) == (1, "")
+    assert f"holds 2 trees; {command[0]} reads one" in err
+
+
+def test_verify_file_source_reads_every_tree(capsys, two_tree_file):
+    code, out, _ = run(capsys, "verify", "--source", "file", "--tree", two_tree_file,
+                       "--checks", "C1", "--format", "json")
+    assert code == 0 and json.loads(out)["report"]["checks"][0]["trees_examined"] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("family", "--family", "star", "--params", "m=5,m=6"),
+     "parameter 'm' is given twice in --params"),
+    (("family", "--family", "star", "--params", "m=5", "--sweep", "m=1..2"),
+     "parameter 'm' is given by both --params and --sweep"),
+    (("verify", "--source", "family", "--family", "star", "--params", "m=5",
+      "--sweep", "m=1..2"), "parameter 'm' is given by both --params and --sweep"),
+])
+def test_parameter_given_twice_rejected(capsys, argv, message):
+    assert usage_error(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    """Every `subtree-density` line of the README's `sh` blocks exits 0."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()  # join `\`-continued lines
+    printf = [line for line in lines if line.startswith("printf ")]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("subtree-density ")]
+    assert len(printf) == 1 and len(commands) >= 9
+    content, target = re.fullmatch(r"printf '([^']*)' > (\S+)", printf[0]).groups()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / target).write_text(content.replace("\\n", "\n"))
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv

@@ -121,7 +121,7 @@ class TestSweeps:
     def test_csv_output(self):
         pts = density_sweep(FamilySpec("path", {}), "n", [4, 5])
         buf = io.StringIO()
-        write_sweep_csv(pts, buf)
+        write_sweep_csv(pts, buf, 12)
         lines = buf.getvalue().splitlines()
         assert lines[0] == ("param,n,leaves,twigs,diameter,density_num,density_den,"
                             "density_decimal,leaf_fraction_decimal,twig_fraction_decimal")
