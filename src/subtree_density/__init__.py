@@ -9,6 +9,7 @@ from .dp import (
     global_stats,
     good_anchor,
     rooted_counts,
+    vertex_sums,
     vertex_view,
     vertex_views,
 )
@@ -21,6 +22,7 @@ from .families import FamilySpec, density_sweep, make_family
 from .oracle import enumerate_subtrees, oracle_stats, oracle_tally
 from .ranks import (
     c_sequence,
+    rank_bound_numerators,
     rank_lower_bound,
     rank_lower_bounds,
     rank_profile,
@@ -49,7 +51,8 @@ __all__ = [
     "density_sweep", "diameter", "edge_counts", "enumerate_subtrees",
     "enumerate_trees", "global_stats", "good_anchor", "is_series_reduced",
     "make_family", "oracle_stats", "oracle_tally", "orient",
-    "parse_tree", "parse_trees", "rank_lower_bound", "rank_lower_bounds",
-    "rank_profile", "rooted_counts", "run_checks", "sample_series_reduced",
-    "serialize", "simple_lower_bound", "vertex_view", "vertex_views",
+    "parse_tree", "parse_trees", "rank_bound_numerators", "rank_lower_bound",
+    "rank_lower_bounds", "rank_profile", "rooted_counts", "run_checks",
+    "sample_series_reduced", "serialize", "simple_lower_bound", "vertex_sums",
+    "vertex_view", "vertex_views",
 ]

@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text, run, formats=(), decimals=False, tree=False, family=False,
             n_help=None, count=None):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)  # usage errors print this subcommand's usage
         if formats:
             p.add_argument("--format", choices=formats, help=f"default {formats[0]}")
         if decimals:
@@ -321,14 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact counts of large trees exceed 4300 digits
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "format", None) == "json" and getattr(args, "decimals", None):
-        parser.error("--decimals is not read with --format json")
+        args.parser.error("--decimals is not read with --format json")
     try:
         return args.run(args)
     except UsageError as exc:
-        parser.error(str(exc))  # exits with code 2
+        args.parser.error(str(exc))  # exits with code 2
     except BrokenPipeError:  # the reader closed stdout, as `| head` does: end quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
         return 0

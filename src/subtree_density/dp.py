@@ -145,11 +145,16 @@ def global_stats(tree: Tree) -> SubtreeStats:
     return SubtreeStats.from_totals(tree, sum(down_count), alpha)
 
 
+def vertex_sums(tree: Tree) -> Tuple[List[int], List[int], int]:
+    """(alpha, sigma, N(T)): ints from one O(n) pass; lambda(T, v) = sigma[v] / alpha[v]."""
+    parent, order, down_count, down_sum = _down_pass(tree, 0)
+    return (*_top_down(parent, order, down_count, down_sum), sum(down_count))
+
+
 def vertex_views(tree: Tree) -> List[VertexSubtreeView]:
     """alpha, lambda and the complementary averages at every vertex."""
-    parent, order, down_count, down_sum = _down_pass(tree, 0)
-    alpha, sigma = _top_down(parent, order, down_count, down_sum)
-    total, order_sum = sum(down_count), sum(down_sum)
+    alpha, sigma, total = vertex_sums(tree)
+    order_sum = sum(alpha)  # each subtree counted once per vertex it holds
     return [_view(v, alpha[v], sigma[v], total, order_sum) for v in range(tree.n)]
 
 

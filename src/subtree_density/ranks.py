@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import List, Tuple
 
@@ -22,6 +23,14 @@ def c_sequence(count: int) -> List[Fraction]:
             _cache.append(1 - Fraction(1 + Fraction(j, 2) + total, 2 ** (j + 1) + j))
             total += _cache[-1]
     return list(_cache[:count])
+
+
+@lru_cache(maxsize=16)  # an entry holds `count` ints of d's size, 44 kbit at count 302
+def _common_denominator(count: int) -> Tuple[int, Tuple[int, ...]]:
+    """(d, numerators) of the first `count` coefficients over their least common denominator d."""
+    cs = c_sequence(count)
+    d = lcm(*(c.denominator for c in cs))
+    return d, tuple(c.numerator * (d // c.denominator) for c in cs)
 
 
 def rank_profile(tree: Tree, root: int) -> Tuple[int, ...]:
@@ -56,7 +65,13 @@ def rank_lower_bound(tree: Tree, root: int) -> Fraction:
 
 
 def rank_lower_bounds(tree: Tree) -> List[Fraction]:
-    """rank_lower_bound(tree, r) for every vertex r, from one rerooting pass.
+    """rank_lower_bound(tree, r) for every vertex r, from one rerooting pass."""
+    numerators, d = rank_bound_numerators(tree)
+    return [Fraction(t, d) for t in numerators]
+
+
+def rank_bound_numerators(tree: Tree) -> Tuple[List[int], int]:
+    """(t, d) with t[r] / d = rank_lower_bound(tree, r) at every vertex r, unreduced.
 
     Rooted at r, a non-root vertex v has rank h(p->v): the height of the
     branch at v pointing away from its parent p.  From vertex 0, the down
@@ -81,15 +96,12 @@ def rank_lower_bounds(tree: Tree) -> List[Fraction]:
         p = parent[v]
         other = second[p] if down[v] + 1 == down[p] else down[p]
         up[v] = max(other, up[p] + 1)
-    cs = c_sequence(max(max(down), max(up)) + 1)
-    # numerators over one common denominator d; each bound is reduced once
-    d = lcm(*(c.denominator for c in cs))
-    num = [c.numerator * (d // c.denominator) for c in cs]
+    d, num = _common_denominator(max(max(down), max(up)) + 1)
     total = [0] * tree.n
     total[0] = d + sum(num[down[v]] for v in order[1:])
     for v in order[1:]:
         total[v] = total[parent[v]] - num[down[v]] + num[up[v]]
-    return [Fraction(t, d) for t in total]
+    return total, d
 
 
 def simple_lower_bound(tree: Tree, root: int) -> Fraction:

@@ -17,10 +17,11 @@ Check ids:
                            reports it as a violation
 
 Every comparison is exact rational arithmetic; equality detection never
-uses a tolerance.  C10 and C11 are linear per tree: `vertex_views` gives
-lambda at every vertex in one pass, C10's bound is the same at every
-internal root (k is the internal count), and `ranks.rank_lower_bounds`
-gives C11's bound at every root in one rerooting pass.
+uses a tolerance.  C10 and C11 are linear per tree: `dp.vertex_sums` gives
+sigma and alpha at every vertex in one pass, C10's bound is the same at every
+internal root (k is the internal count), and `ranks.rank_bound_numerators`
+gives C11's bound t/d at every root in one rerooting pass.  lambda = sigma/alpha
+is compared as sigma*d against t*alpha; only a witness builds a Fraction.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
-from .dp import global_stats, good_anchor, vertex_view, vertex_views
+from .dp import global_stats, good_anchor, vertex_sums, vertex_view
 from .enumeration import canonical_form
 from .rationals import format_ratio
-from .ranks import rank_lower_bounds, simple_lower_bound
+from .ranks import rank_bound_numerators, simple_lower_bound
 from .tree import Tree, classify_vertices, is_series_reduced
 
 ALL_CHECKS = ("C1", "C2", "C3", "C4", "C5", "C6",
@@ -68,8 +69,8 @@ class _TreeContext:
         return [v for v in range(self.tree.n) if self.tree.degree(v) >= 2]
 
     @cached_property
-    def views(self):
-        return vertex_views(self.tree)
+    def sums(self):
+        return vertex_sums(self.tree)
 
 
 @dataclass
@@ -118,6 +119,7 @@ class VerificationReport:
 def _witness(ctx: _TreeContext, **values) -> dict:
     out = {"n": ctx.tree.n, "canonical_form": list(ctx.code)}
     for k, v in values.items():
+        v = Fraction(*v) if isinstance(v, tuple) else v  # a (numerator, denominator) pair
         out[k] = format_ratio(v) if isinstance(v, Fraction) else v
     return out
 
@@ -191,25 +193,26 @@ def _check_c9(ctx, out):
         out.violations.append(_witness(ctx, anchor=v, gap=gap))
 
 
-def _check_lambda_bound(ctx, out, bounds):
-    """lambda(T, v) >= bounds[v] at every internal root v."""
+def _check_lambda_bound(ctx, out, numerators, d):
+    """lambda(T, v) = sigma/alpha >= numerators[v]/d at every internal root v."""
+    alpha, sigma, _ = ctx.sums
     for v in ctx.internal:
-        lam = ctx.views[v].lam
-        bound = bounds[v]
-        if lam < bound:
-            out.violations.append(_witness(ctx, vertex=v, lam=lam, bound=bound))
-        elif lam == bound:
-            out.equality_cases.append(_witness(ctx, vertex=v, lam=lam))
+        lhs, rhs = sigma[v] * d, numerators[v] * alpha[v]
+        if lhs < rhs:
+            out.violations.append(_witness(ctx, vertex=v, lam=(sigma[v], alpha[v]),
+                                           bound=(numerators[v], d)))
+        elif lhs == rhs:
+            out.equality_cases.append(_witness(ctx, vertex=v, lam=(sigma[v], alpha[v])))
 
 
 def _check_c10(ctx, out):
     # k = |internal| at every internal root, so one bound serves them all
     bound = simple_lower_bound(ctx.tree, ctx.internal[0])
-    _check_lambda_bound(ctx, out, [bound] * ctx.tree.n)
+    _check_lambda_bound(ctx, out, [bound.numerator] * ctx.tree.n, bound.denominator)
 
 
 def _check_c11(ctx, out):
-    _check_lambda_bound(ctx, out, rank_lower_bounds(ctx.tree))
+    _check_lambda_bound(ctx, out, *rank_bound_numerators(ctx.tree))
 
 
 def _check_c12(ctx, out):

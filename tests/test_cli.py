@@ -395,3 +395,13 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     (tmp_path / target).write_text(content.replace("\\n", "\n"))
     for argv in commands:
         assert run(capsys, *argv)[0] == 0, argv
+
+
+@pytest.mark.parametrize("argv, command", [
+    (("family", "--family", "star", "--params", "m=5,m=6"), "family"),
+    (("stats", "--tree", "P4", "--format", "json", "--decimals", "3"), "stats"),
+    (("verify", "--source", "file", "--tree", "P4", "--n", "4..5"), "verify"),
+])
+def test_usage_error_prints_the_subcommand_usage(capsys, p4_file, argv, command):
+    assert usage_error(*(p4_file if a == "P4" else a for a in argv)) == 2
+    assert capsys.readouterr().err.startswith(f"usage: subtree-density {command} ")

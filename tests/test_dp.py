@@ -10,6 +10,7 @@ from subtree_density.dp import (
     global_stats,
     good_anchor,
     rooted_counts,
+    vertex_sums,
     vertex_view,
     vertex_views,
 )
@@ -149,6 +150,12 @@ class TestVertexViews:
                 assert view.lambda_bar == Fraction(s.order_sum - osum, view.alpha_bar)
             else:
                 assert view.lambda_bar is None
+
+    @given(random_trees(9))
+    @settings(max_examples=40, deadline=None)
+    def test_sums_match_oracle(self, t):
+        total, alphas, sigmas, _ = oracle_tally(t)
+        assert vertex_sums(t) == (list(alphas), list(sigmas), total)
 
     def test_star_beyond_oracle_limit(self):
         # closed forms for K_{1,m}; test_star_closed_forms pins them to the oracle

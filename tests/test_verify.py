@@ -1,11 +1,16 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subtree_density import tree as tree_module
+from subtree_density import tree as tree_module, verify
+from subtree_density.dp import vertex_view
 from subtree_density.enumeration import canonical_form, enumerate_trees, sample_series_reduced
-from subtree_density.tree import is_series_reduced
+from subtree_density.ranks import rank_bound_numerators, rank_lower_bound, simple_lower_bound
+from subtree_density.rationals import format_ratio
+from subtree_density.tree import Tree, is_series_reduced
 from subtree_density.verify import ALL_CHECKS, check_stpoly, run_checks
 
 from test_tree import path, star
@@ -139,7 +144,8 @@ class TestRunChecks:
 
 
 class TestRootedChecksCost:
-    """C10 and C11 orient each tree a fixed number of times, not once per root."""
+    """C10 and C11 orient each tree, and build Fractions, a fixed number of
+    times, not once per root."""
 
     @staticmethod
     def _count_orient(monkeypatch):
@@ -164,3 +170,93 @@ class TestRootedChecksCost:
             report = run_checks([t], ["C10", "C11"])
             assert outcome(report, "C11").trees_applicable == 1
             assert 1 <= len(calls) <= 4
+
+    def test_fraction_constructions_bounded(self, monkeypatch):
+        # a Fraction per vertex would be about 2n; without a witness only
+        # C10's bound is one
+        trees = [sample_series_reduced(300, seed) for seed in range(3)]
+        run_checks(trees, ["C10", "C11"])  # warms the coefficient caches
+        original, made = Fraction.__new__, []
+
+        def counted(cls, *args, **kwargs):
+            made.append(cls)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        for t in trees:
+            made.clear()
+            report = run_checks([t], ["C10", "C11"])
+            assert report.passed and not any(o.equality_cases for o in report.outcomes)
+            assert len(made) <= 10
+
+
+def caterpillar(spine):
+    """Series-reduced caterpillar: a spine path with one leaf at each spine
+    vertex and one more leaf at each end, 2 * spine + 2 vertices."""
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)]
+    return Tree(2 * spine + 2, edges + [(0, 2 * spine), (spine - 1, 2 * spine + 1)])
+
+
+def _lambda_reference(t, bound):
+    """C10 or C11 from Fractions: (violations, equality cases) over the internal roots."""
+    violations, equalities = [], []
+    for v in range(t.n):
+        if t.degree(v) < 2:
+            continue
+        lam, b = vertex_view(t, v).lam, bound(t, v)
+        if lam < b:
+            violations.append((v, format_ratio(lam), format_ratio(b)))
+        elif lam == b:
+            equalities.append((v, format_ratio(lam)))
+    return violations, equalities
+
+
+def _lambda_outcomes(t):
+    report = run_checks([t], ["C10", "C11"])
+    return {c: ([(w["vertex"], w["lam"], w["bound"]) for w in outcome(report, c).violations],
+                [(w["vertex"], w["lam"]) for w in outcome(report, c).equality_cases])
+            for c in ("C10", "C11")}
+
+
+def _assert_matches_reference(t):
+    assert _lambda_outcomes(t) == {"C10": _lambda_reference(t, simple_lower_bound),
+                                   "C11": _lambda_reference(t, rank_lower_bound)}
+
+
+class TestLambdaChecks:
+    """C10 and C11 compare lambda with their bounds in integers."""
+
+    @given(st.integers(4, 120), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_reference_sampled(self, n, seed):
+        _assert_matches_reference(sample_series_reduced(n, seed))
+
+    def test_matches_fraction_reference_exhaustive(self):
+        for t in enum_range(4, 12, series_reduced=True):
+            _assert_matches_reference(t)
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_star_centre_is_an_equality_case(self, m):
+        # lambda(K_{1,m}, centre) = 1 + m/2, which both bounds attain
+        lam = format_ratio(1 + Fraction(m, 2))
+        assert _lambda_outcomes(star(m)) == {"C10": ([], [(0, lam)]), "C11": ([], [(0, lam)])}
+
+    def test_violation_witness_is_reduced_exactly(self, monkeypatch):
+        t = star(5)
+        lam = vertex_view(t, 0).lam
+        bound = lam + Fraction(1, 7)
+        monkeypatch.setattr(verify, "simple_lower_bound", lambda tree, root: bound)
+        # C11's bound over an unreduced common denominator
+        monkeypatch.setattr(verify, "rank_bound_numerators", lambda tree: (
+            [3 * bound.numerator] * tree.n, 3 * bound.denominator))
+        expected = ([(0, format_ratio(lam), format_ratio(bound))], [])
+        assert _lambda_outcomes(t) == {"C10": expected, "C11": expected}
+
+    def test_deep_caterpillar(self):
+        t = caterpillar(300)
+        assert t.n == 602 and is_series_reduced(t)
+        numerators, d = rank_bound_numerators(t)
+        for r in (0, 150, 299):  # both spine ends and the middle
+            assert Fraction(numerators[r], d) == rank_lower_bound(t, r)
+        report = run_checks([t], ["C10", "C11"])
+        assert report.passed and outcome(report, "C11").trees_applicable == 1
