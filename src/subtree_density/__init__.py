@@ -24,7 +24,6 @@ from .ranks import (
     c_sequence,
     rank_bound_numerators,
     rank_lower_bound,
-    rank_lower_bounds,
     rank_profile,
     simple_lower_bound,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "enumerate_trees", "global_stats", "good_anchor", "is_series_reduced",
     "make_family", "oracle_stats", "oracle_tally", "orient",
     "parse_tree", "parse_trees", "rank_bound_numerators", "rank_lower_bound",
-    "rank_lower_bounds", "rank_profile", "rooted_counts", "run_checks",
-    "sample_series_reduced", "serialize", "simple_lower_bound", "vertex_sums",
-    "vertex_view", "vertex_views",
+    "rank_profile", "rooted_counts", "run_checks", "sample_series_reduced",
+    "serialize", "simple_lower_bound", "vertex_sums", "vertex_view", "vertex_views",
 ]

@@ -10,7 +10,7 @@ import sys
 from typing import List, Tuple
 
 from . import dp, enumeration, families, oracle, ranks, verify
-from .rationals import format_ratio, ratio_json, to_decimal
+from .rationals import format_ratio, to_decimal
 from .tree import BLOCK_SEPARATOR, Tree, TreeError, parse_trees, serialize
 
 
@@ -167,11 +167,7 @@ def cmd_family(args) -> int:
             name, (lo, hi) = sweep
             points = families.density_sweep(spec, name, range(lo, hi + 1))
             if args.format == "json":
-                print(json.dumps([{
-                    "param": p.param_value, "n": p.n, "leaves": p.leaves,
-                    "twigs": p.twigs, "diameter": p.diameter,
-                    "density": ratio_json(p.density),
-                } for p in points], sort_keys=True, indent=2), file=out)
+                families.write_sweep_json(points, out)
             else:
                 families.write_sweep_csv(points, out, digits=args.decimals or DECIMALS)
         else:
@@ -181,6 +177,8 @@ def cmd_family(args) -> int:
 
 def _enumerated(args):
     lo, hi = _parse_range(args.n)
+    for n in (lo, hi):  # before the first tree, so a bad range writes nothing
+        enumeration.check_enum_size(n)
     return (t for n in range(lo, hi + 1)
             for t in enumeration.enumerate_trees(n, series_reduced=args.series_reduced))
 

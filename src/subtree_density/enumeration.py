@@ -117,6 +117,12 @@ def canonical_form(tree: Tree) -> Tuple[int, ...]:
     return tuple(min(_rooted_levels(tree, c) for c in centroids(tree)))
 
 
+def check_enum_size(n: int) -> None:
+    """Raise TreeError unless enumerate_trees accepts n."""
+    if not 1 <= n <= ENUM_CAP:
+        raise TreeError(f"enumeration requires 1 <= n <= {ENUM_CAP}, got {n}")
+
+
 def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
     """One representative per free-tree isomorphism class on n vertices.
 
@@ -124,8 +130,7 @@ def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
     sequence, which a peripheral leaf attains, labelled in preorder; the
     classes come out in decreasing order of it.
     """
-    if not 1 <= n <= ENUM_CAP:
-        raise TreeError(f"enumeration requires 1 <= n <= {ENUM_CAP}, got {n}")
+    check_enum_size(n)
     found = []
     for levels in _free_level_sequences(n, series_reduced):
         tree = tree_from_level_sequence(levels)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List
 
 from .dp import global_stats
-from .rationals import to_decimal
+from .rationals import ratio_json, to_decimal
 from .tree import Tree, TreeError, classify_vertices, diameter
 
 SWEEP_CAP = 5000
@@ -37,8 +38,6 @@ class DensitySequencePoint:
     twigs: int
     diameter: int
     density: Fraction
-    leaf_fraction: Fraction
-    twig_fraction: Fraction
 
 
 def _require(cond: bool, constraint: str):
@@ -168,8 +167,6 @@ def density_sweep(spec: FamilySpec, param_name: str,
             twigs=len(cls.twigs),
             diameter=diameter(tree),
             density=global_stats(tree).density,
-            leaf_fraction=Fraction(len(cls.leaves), tree.n),
-            twig_fraction=Fraction(len(cls.twigs), tree.n),
         ))
     return points
 
@@ -189,6 +186,12 @@ def write_sweep_csv(points: List[DensitySequencePoint], fh, digits: int):
             p.param_value, p.n, p.leaves, p.twigs, p.diameter,
             p.density.numerator, p.density.denominator,
             to_decimal(p.density, digits),
-            to_decimal(p.leaf_fraction, digits),
-            to_decimal(p.twig_fraction, digits),
+            to_decimal(Fraction(p.leaves, p.n), digits),
+            to_decimal(Fraction(p.twigs, p.n), digits),
         ])
+
+
+def write_sweep_json(points: List[DensitySequencePoint], fh):
+    rows = [{"param": p.param_value, "n": p.n, "leaves": p.leaves, "twigs": p.twigs,
+             "diameter": p.diameter, "density": ratio_json(p.density)} for p in points]
+    print(json.dumps(rows, sort_keys=True, indent=2), file=fh)

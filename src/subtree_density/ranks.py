@@ -1,36 +1,36 @@
-"""Vertex ranks, the coefficient sequence c_j, and lambda lower bounds."""
+"""Vertex ranks, the coefficients c_j as one exact integer table, and lambda lower bounds."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import List, Tuple
 
 from .tree import Tree, orient
 
-_cache: List[Fraction] = [Fraction(1, 2)]
+
+@lru_cache(maxsize=16)  # an entry holds `count` ints below d, 46 kbit at count 302
+def _coefficient_table(count: int) -> Tuple[int, Tuple[int, ...]]:
+    """(d, t) with c_j = t[j] / d for j < count over d = 2 prod_{j<count} (2^(j+1) + j).
+
+    With u = d sum_{i<j} c_i, t_j = d - (d (j+2)/2 + u) / (2^(j+1) + j), an exact division.
+    """
+    d = 2
+    for j in range(count):
+        d *= 2 ** (j + 1) + j
+    t, u = [], 0
+    for j in range(count):
+        t.append(d - (d // 2 * (j + 2) + u) // (2 ** (j + 1) + j))
+        u += t[-1]
+    return d, tuple(t)
 
 
 def c_sequence(count: int) -> List[Fraction]:
     """First `count` coefficients: c_j = 1 - (1 + j/2 + sum_{i<j} c_i) / (2^(j+1) + j)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if len(_cache) < count:
-        total = sum(_cache)
-        while len(_cache) < count:
-            j = len(_cache)
-            _cache.append(1 - Fraction(1 + Fraction(j, 2) + total, 2 ** (j + 1) + j))
-            total += _cache[-1]
-    return list(_cache[:count])
-
-
-@lru_cache(maxsize=16)  # an entry holds `count` ints of d's size, 44 kbit at count 302
-def _common_denominator(count: int) -> Tuple[int, Tuple[int, ...]]:
-    """(d, numerators) of the first `count` coefficients over their least common denominator d."""
-    cs = c_sequence(count)
-    d = lcm(*(c.denominator for c in cs))
-    return d, tuple(c.numerator * (d // c.denominator) for c in cs)
+    d, t = _coefficient_table(count)
+    return [Fraction(tj, d) for tj in t]
 
 
 def rank_profile(tree: Tree, root: int) -> Tuple[int, ...]:
@@ -52,22 +52,15 @@ def rank_profile(tree: Tree, root: int) -> Tuple[int, ...]:
 
 
 def rank_lower_bound(tree: Tree, root: int) -> Fraction:
-    """1 + sum_j c_j * m_j over the rank histogram m.
+    """1 + sum_j c_j * m_j over the rank histogram m, summed in integers over d.
 
     It is at most lambda(T, root) on the rooted class: the root has degree
     at least 2 and every other internal vertex degree at least 3, or the
     tree is the single vertex.
     """
     m = rank_profile(tree, root)
-    if not m:
-        return Fraction(1)
-    return 1 + sum(c * mj for c, mj in zip(c_sequence(len(m)), m))
-
-
-def rank_lower_bounds(tree: Tree) -> List[Fraction]:
-    """rank_lower_bound(tree, r) for every vertex r, from one rerooting pass."""
-    numerators, d = rank_bound_numerators(tree)
-    return [Fraction(t, d) for t in numerators]
+    d, t = _coefficient_table(len(m))
+    return Fraction(d + sum(tj * mj for tj, mj in zip(t, m)), d)
 
 
 def rank_bound_numerators(tree: Tree) -> Tuple[List[int], int]:
@@ -96,7 +89,7 @@ def rank_bound_numerators(tree: Tree) -> Tuple[List[int], int]:
         p = parent[v]
         other = second[p] if down[v] + 1 == down[p] else down[p]
         up[v] = max(other, up[p] + 1)
-    d, num = _common_denominator(max(max(down), max(up)) + 1)
+    d, num = _coefficient_table(max(max(down), max(up)) + 1)
     total = [0] * tree.n
     total[0] = d + sum(num[down[v]] for v in order[1:])
     for v in order[1:]:

@@ -186,7 +186,8 @@ def test_criterion_7_anchor_at_scale():
 
 def test_criterion_8a_star_sweep():
     pts = density_sweep(FamilySpec("star", {}), "m", range(1, 201))
-    ok = all(a.leaf_fraction < b.leaf_fraction for a, b in zip(pts[1:], pts[2:]))
+    ok = all(Fraction(a.leaves, a.n) < Fraction(b.leaves, b.n)
+             for a, b in zip(pts[1:], pts[2:]))
     ok = ok and abs(pts[-1].density - Fraction(1, 2)) < Fraction(1, 100)
     report("8a", ok, "star sweep: leaf fraction -> 1 and |D - 1/2| < 0.01 at m = 200")
 
@@ -195,7 +196,7 @@ def test_criterion_8b_starfish_radius_sweep():
     pts = density_sweep(FamilySpec("starfish", {"k": 3}), "r", range(1, 61))
     ok = all(a.density < b.density for a, b in zip(pts, pts[1:]))
     ok = ok and pts[-1].density > Fraction(72, 100)
-    ok = ok and pts[-1].twig_fraction < Fraction(2, 100)
+    ok = ok and Fraction(pts[-1].twigs, pts[-1].n) < Fraction(2, 100)
     report("8b", ok, "starfish k=3: D increasing, D > 0.72 and twig fraction < 0.02 at r = 60")
 
 

@@ -92,6 +92,23 @@ def test_enumerate_series_reduced(capsys):
     assert out.count("---") == 3  # 1 + 1 + 2 trees
 
 
+@pytest.mark.parametrize("n, bad", [("17..19", 19), ("0..2", 0)])
+def test_enumerate_range_checked_before_any_tree(capsys, n, bad):
+    code, out, err = run(capsys, "enumerate", "--n", n, "--series-reduced")
+    assert (code, out) == (1, "")
+    assert err == f"error: enumeration requires 1 <= n <= 18, got {bad}\n"
+
+
+def test_verify_enum_range_checked_before_any_check(capsys, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("run_checks started on a range it cannot finish")
+
+    monkeypatch.setattr("subtree_density.cli.verify.run_checks", no_checks)
+    code, out, err = run(capsys, "verify", "--source", "enum", "--n", "16..19")
+    assert (code, out) == (1, "")
+    assert err == "error: enumeration requires 1 <= n <= 18, got 19\n"
+
+
 def test_sample_deterministic(capsys):
     code1, out1, _ = run(capsys, "sample", "--n", "20", "--seed", "3", "--count", "2")
     code2, out2, _ = run(capsys, "sample", "--n", "20", "--seed", "3", "--count", "2")
@@ -231,6 +248,34 @@ def test_family_sweep_json(capsys):
     points = json.loads(out)
     assert code == 0 and [p["n"] for p in points] == [4, 5, 6]
     assert points[0]["density"] == {"num": "1", "den": "2"}
+
+
+# star sweep m = 1..6: (n, leaves, twigs, diameter, density num, den) per m
+_STAR_SWEEP = [(2, 2, 0, 1, 2, 3), (3, 2, 1, 2, 5, 9), (4, 3, 1, 2, 23, 44),
+               (5, 4, 1, 2, 13, 25), (6, 5, 1, 2, 39, 74), (7, 6, 1, 2, 131, 245)]
+
+
+def test_star_sweep_csv_text_pinned(capsys):
+    code, out, _ = run(capsys, "family", "--family", "star", "--sweep", "m=1..6")
+    assert code == 0 and out == """\
+param,n,leaves,twigs,diameter,density_num,density_den,density_decimal,\
+leaf_fraction_decimal,twig_fraction_decimal
+1,2,2,0,1,2,3,0.666666666667,1,0
+2,3,2,1,2,5,9,0.555555555556,0.666666666667,0.333333333333
+3,4,3,1,2,23,44,0.522727272727,0.75,0.25
+4,5,4,1,2,13,25,0.52,0.8,0.2
+5,6,5,1,2,39,74,0.527027027027,0.833333333333,0.166666666667
+6,7,6,1,2,131,245,0.534693877551,0.857142857143,0.142857142857
+"""
+
+
+def test_star_sweep_json_text_pinned(capsys):
+    code, out, _ = run(capsys, "family", "--family", "star", "--sweep", "m=1..6",
+                       "--format", "json")
+    rows = [{"param": m, "n": n, "leaves": l, "twigs": t, "diameter": diam,
+             "density": {"num": str(num), "den": str(den)}}
+            for m, (n, l, t, diam, num, den) in enumerate(_STAR_SWEEP, start=1)]
+    assert code == 0 and out == json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,13 +425,17 @@ def test_parameter_given_twice_rejected(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
-    """Every `subtree-density` line of the README's `sh` blocks exits 0."""
+def _readme_blocks(language):
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
     with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
-    lines = "".join(blocks).replace("\\\n", " ").splitlines()  # join `\`-continued lines
+        return re.findall(rf"```{language}\n(.*?)```", fh.read(), re.S)
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    """Every `subtree-density` line of the README's `sh` blocks exits 0."""
+    # `\`-continued lines are joined
+    lines = "".join(_readme_blocks("sh")).replace("\\\n", " ").splitlines()
     printf = [line for line in lines if line.startswith("printf ")]
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("subtree-density ")]
     assert len(printf) == 1 and len(commands) >= 9
@@ -395,6 +444,14 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     (tmp_path / target).write_text(content.replace("\\n", "\n"))
     for argv in commands:
         assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_readme_library_example_runs():
+    """The README's `python` blocks run, so every name they import still exists."""
+    blocks = _readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("argv, command", [

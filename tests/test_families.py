@@ -106,7 +106,8 @@ class TestSweeps:
         assert all(a.density > b.density for a, b in zip(tail, tail[1:]))
         # m = 1 is a single edge where both endpoints count as leaves, so the
         # leaf fraction is only monotone from m = 2 onward.
-        assert all(a.leaf_fraction < b.leaf_fraction for a, b in zip(pts[1:], pts[2:]))
+        assert all(Fraction(a.leaves, a.n) < Fraction(b.leaves, b.n)
+                   for a, b in zip(pts[1:], pts[2:]))
         assert abs(pts[-1].density - Fraction(1, 2)) < Fraction(2, 100)
 
     def test_starfish_density_increases(self):

@@ -3,19 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from subtree_density import ranks
 from subtree_density.dp import vertex_view
 from subtree_density.enumeration import enumerate_trees
 from subtree_density.families import FamilySpec, make_family
 from subtree_density.ranks import (
     c_sequence,
+    rank_bound_numerators,
     rank_lower_bound,
-    rank_lower_bounds,
     rank_profile,
     simple_lower_bound,
 )
 from subtree_density.tree import orient
 
 from test_tree import path, random_trees, star
+from test_verify import caterpillar
 
 
 def _rank_histogram(t, root):
@@ -88,6 +90,29 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             c_sequence(0)
 
+    def test_integer_table_matches_fraction_recurrence(self):
+        cs, total = [], Fraction(0)
+        for j in range(302):
+            cs.append(1 - (1 + Fraction(j, 2) + total) / (2 ** (j + 1) + j))
+            total += cs[-1]
+        for count in (1, 2, 7, 40, 302):
+            d, t = ranks._coefficient_table(count)
+            assert len(t) == count
+            assert all(tj * c.denominator == c.numerator * d for tj, c in zip(t, cs))
+
+    def test_bounds_build_no_fraction(self, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        ranks._coefficient_table.cache_clear()
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        numerators, d = rank_bound_numerators(caterpillar(300))
+        assert built == [] and len(numerators) == 602
+
 
 class TestLowerBounds:
     def test_single_vertex(self):
@@ -126,6 +151,11 @@ def _per_root(t):
     return [rank_lower_bound(t, r) for r in range(t.n)]
 
 
+def _all_roots(t):
+    numerators, d = rank_bound_numerators(t)
+    return [Fraction(x, d) for x in numerators]
+
+
 class TestRankLowerBounds:
     @given(st.one_of(random_trees(40), st.integers(1, 40).map(path),
                      st.integers(1, 40).map(star)))
@@ -133,13 +163,15 @@ class TestRankLowerBounds:
     @example(path(1))
     @example(path(2))
     def test_matches_per_root_bound(self, t):
-        assert rank_lower_bounds(t) == _per_root(t)
+        assert _all_roots(t) == _per_root(t)
 
     def test_exhaustive_to_9(self):
         for n in range(1, 10):
             for t in enumerate_trees(n):
-                assert rank_lower_bounds(t) == _per_root(t)
+                assert _all_roots(t) == _per_root(t)
 
     def test_exact_fractions(self):
         for t in (path(1), star(3)):
-            assert all(type(b) is Fraction for b in rank_lower_bounds(t))
+            numerators, d = rank_bound_numerators(t)
+            assert all(type(x) is int for x in (*numerators, d))
+            assert all(type(b) is Fraction for b in _per_root(t))
