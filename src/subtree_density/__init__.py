@@ -11,7 +11,6 @@ from .dp import (
     rooted_counts,
     vertex_sums,
     vertex_view,
-    vertex_views,
 )
 from .enumeration import (
     canonical_form,
@@ -52,5 +51,5 @@ __all__ = [
     "make_family", "oracle_stats", "oracle_tally", "orient",
     "parse_tree", "parse_trees", "rank_bound_numerators", "rank_lower_bound",
     "rank_profile", "rooted_counts", "run_checks", "sample_series_reduced",
-    "serialize", "simple_lower_bound", "vertex_sums", "vertex_view", "vertex_views",
+    "serialize", "simple_lower_bound", "vertex_sums", "vertex_view",
 ]

@@ -151,25 +151,15 @@ def vertex_sums(tree: Tree) -> Tuple[List[int], List[int], int]:
     return (*_top_down(parent, order, down_count, down_sum), sum(down_count))
 
 
-def vertex_views(tree: Tree) -> List[VertexSubtreeView]:
-    """alpha, lambda and the complementary averages at every vertex."""
-    alpha, sigma, total = vertex_sums(tree)
-    order_sum = sum(alpha)  # each subtree counted once per vertex it holds
-    return [_view(v, alpha[v], sigma[v], total, order_sum) for v in range(tree.n)]
-
-
 def vertex_view(tree: Tree, v: int) -> VertexSubtreeView:
     """alpha, lambda and the complementary averages at one vertex.
 
     One down pass from v gives alpha(v), sigma(v) and both totals.
     """
     _, _, down_count, down_sum = _down_pass(tree, v)
-    return _view(v, down_count[v], down_sum[v], sum(down_count), sum(down_sum))
-
-
-def _view(v: int, alpha: int, sigma: int, total: int, order_sum: int) -> VertexSubtreeView:
-    alpha_bar = total - alpha
-    lambda_bar = Fraction(order_sum - sigma, alpha_bar) if alpha_bar else None
+    alpha, sigma = down_count[v], down_sum[v]
+    alpha_bar = sum(down_count) - alpha
+    lambda_bar = Fraction(sum(down_sum) - sigma, alpha_bar) if alpha_bar else None
     return VertexSubtreeView(v, alpha, alpha_bar, Fraction(sigma, alpha), lambda_bar)
 
 

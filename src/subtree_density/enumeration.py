@@ -86,16 +86,8 @@ def centroids(tree: Tree) -> List[int]:
         size[p] += size[u]
         if size[u] > heavy[p]:
             heavy[p] = size[u]
-    best = None
-    found: List[int] = []
-    for v in range(n):
-        weight = max(heavy[v], n - size[v])
-        if best is None or weight < best:
-            best = weight
-            found = [v]
-        elif weight == best:
-            found.append(v)
-    return found
+    # a centroid's largest component has at most n/2 vertices, and any other vertex's more
+    return [v for v in range(n) if 2 * max(heavy[v], n - size[v]) <= n]
 
 
 def _rooted_levels(tree: Tree, root: int) -> List[int]:

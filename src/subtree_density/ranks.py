@@ -30,7 +30,14 @@ def c_sequence(count: int) -> List[Fraction]:
     if count < 1:
         raise ValueError("count must be >= 1")
     d, t = _coefficient_table(count)
-    return [Fraction(tj, d) for tj in t]
+    # c_j's denominator divides the prefix product 2 prod_{i<=j} (2^(i+1) + i), so
+    # dividing t_j and d by the rest of d first is exact and keeps each gcd small
+    out, prefix, suffix = [], d, 1
+    for j in reversed(range(count)):
+        out.append(Fraction(t[j] // suffix, prefix))
+        f = 2 ** (j + 1) + j
+        prefix, suffix = prefix // f, suffix * f
+    return out[::-1]
 
 
 def rank_profile(tree: Tree, root: int) -> Tuple[int, ...]:

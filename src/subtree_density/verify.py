@@ -16,12 +16,14 @@ Check ids:
                            attained by the six-vertex double star, so C12
                            reports it as a violation
 
-Every comparison is exact rational arithmetic; equality detection never
-uses a tolerance.  C10 and C11 are linear per tree: `dp.vertex_sums` gives
-sigma and alpha at every vertex in one pass, C10's bound is the same at every
-internal root (k is the internal count), and `ranks.rank_bound_numerators`
-gives C11's bound t/d at every root in one rerooting pass.  lambda = sigma/alpha
-is compared as sigma*d against t*alpha; only a witness builds a Fraction.
+Every comparison is exact; equality detection never uses a tolerance.  Each
+tree gets one `dp.vertex_sums` pass: alpha(v) and sigma(v) at every vertex and
+N(T), with order sum S = sum_v alpha(v).  mu = S/N, D = S/(nN), mu' =
+(S-l)/(N-l+1) and lambda = sigma/alpha meet their bounds by integer
+cross-multiplication; only a witness builds a Fraction.  C10's bound is the
+same at every internal root (k is the internal count), and
+`ranks.rank_bound_numerators` gives C11's bound t/d at every root in one
+rerooting pass, so C10 and C11 are linear per tree.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
-from .dp import global_stats, good_anchor, vertex_sums, vertex_view
+from .dp import SubtreeStats, good_anchor, vertex_sums
+from .dp import vertex_view  # noqa: F401  perfbench/test_perfbench.py reads verify.vertex_view
 from .enumeration import canonical_form
 from .rationals import format_ratio
 from .ranks import rank_bound_numerators, simple_lower_bound
@@ -53,10 +56,6 @@ class _TreeContext:
         self.tree = tree
 
     @cached_property
-    def stats(self):
-        return global_stats(self.tree)
-
-    @cached_property
     def code(self):
         return canonical_form(self.tree)
 
@@ -71,6 +70,10 @@ class _TreeContext:
     @cached_property
     def sums(self):
         return vertex_sums(self.tree)
+
+    @cached_property
+    def order_sum(self):
+        return sum(self.sums[0])  # each subtree counted once per vertex it holds
 
 
 @dataclass
@@ -125,18 +128,17 @@ def _witness(ctx: _TreeContext, **values) -> dict:
 
 
 def _check_c1(ctx, out):
-    total = ctx.stats.subtree_count
+    alpha, _, total = ctx.sums
     for v in range(ctx.tree.n):
-        if ctx.tree.degree(v) == 1 and not 2 * ctx.stats.containment[v] < total:
-            out.violations.append(_witness(ctx, vertex=v,
-                                           alpha=str(ctx.stats.containment[v]),
+        if ctx.tree.degree(v) == 1 and not 2 * alpha[v] < total:
+            out.violations.append(_witness(ctx, vertex=v, alpha=str(alpha[v]),
                                            subtree_count=str(total)))
 
 
 def _check_c2(ctx, out):
-    bound = Fraction(3 * ctx.tree.n - 2, 4)
-    if not ctx.stats.mu < bound:
-        out.violations.append(_witness(ctx, mu=ctx.stats.mu, bound=bound))
+    n, s, total = ctx.tree.n, ctx.order_sum, ctx.sums[2]
+    if not 4 * s < (3 * n - 2) * total:
+        out.violations.append(_witness(ctx, mu=(s, total), bound=(3 * n - 2, 4)))
 
 
 def _check_c3(ctx, out):
@@ -146,51 +148,56 @@ def _check_c3(ctx, out):
 
 
 def _check_c4(ctx, out):
-    mu, mu_prime = ctx.stats.mu, ctx.stats.mu_prime
-    if mu > mu_prime:
-        out.violations.append(_witness(ctx, mu=mu, mu_prime=mu_prime))
-    elif mu == mu_prime:
-        out.equality_cases.append(_witness(ctx, mu=mu))
+    # mu' = (S - l)/(N - l + 1): S' adds the empty set and drops the leaf singletons
+    s, total, l = ctx.order_sum, ctx.sums[2], ctx.tree.n - len(ctx.internal)
+    lhs, rhs = s * (total - l + 1), (s - l) * total
+    if lhs > rhs:
+        out.violations.append(_witness(ctx, mu=(s, total), mu_prime=(s - l, total - l + 1)))
+    elif lhs == rhs:
+        out.equality_cases.append(_witness(ctx, mu=(s, total)))
 
 
 def _check_c5(ctx, out):
     twigs = len(classify_vertices(ctx.tree).twigs)
-    bound = Fraction(3 * ctx.tree.n, 4) - Fraction(2 * twigs, 5)
-    if not ctx.stats.mu < bound:
-        out.violations.append(_witness(ctx, mu=ctx.stats.mu, twigs=twigs, bound=bound))
+    n, s, total = ctx.tree.n, ctx.order_sum, ctx.sums[2]
+    # 3n/4 - 2t/5 = (15n - 8t)/20
+    if not 20 * s < (15 * n - 8 * twigs) * total:
+        out.violations.append(_witness(ctx, mu=(s, total), twigs=twigs,
+                                       bound=(15 * n - 8 * twigs, 20)))
 
 
 def _check_c7(ctx, out):
-    total = ctx.stats.subtree_count
+    alpha, _, total = ctx.sums
     for v in ctx.internal:
-        alpha = ctx.stats.containment[v]
-        if 2 * alpha < total:
-            out.violations.append(_witness(ctx, vertex=v, alpha=str(alpha),
+        if 2 * alpha[v] < total:
+            out.violations.append(_witness(ctx, vertex=v, alpha=str(alpha[v]),
                                            subtree_count=str(total)))
-        elif 2 * alpha == total:
+        elif 2 * alpha[v] == total:
             out.equality_cases.append(_witness(ctx, vertex=v))
 
 
 def _check_c8(ctx, out):
+    alpha = ctx.sums[0]
     leaf_count = ctx.tree.n - len(ctx.internal)
     floor = ctx.tree.n - leaf_count - 1 + 2 ** leaf_count
     for v in ctx.internal:
-        alpha = ctx.stats.containment[v]
-        if alpha < floor:
-            out.violations.append(_witness(ctx, vertex=v, alpha=str(alpha),
+        if alpha[v] < floor:
+            out.violations.append(_witness(ctx, vertex=v, alpha=str(alpha[v]),
                                            floor=str(floor)))
-        elif alpha == floor:
+        elif alpha[v] == floor:
             out.equality_cases.append(_witness(ctx, vertex=v))
 
 
 def _check_c9(ctx, out):
-    v = good_anchor(ctx.tree, ctx.stats)
+    alpha, sigma, total = ctx.sums
+    v = good_anchor(ctx.tree, SubtreeStats.from_totals(ctx.tree, total, alpha))
     if v is None:
         out.violations.append(_witness(ctx, anchor=None))
         return
-    gap = ctx.stats.mu - vertex_view(ctx.tree, v).lam
-    if not abs(gap) < 2:
-        out.violations.append(_witness(ctx, anchor=v, gap=gap))
+    # mu - lambda(v) = (S alpha_v - sigma_v N) / (N alpha_v)
+    gap, d = ctx.order_sum * alpha[v] - sigma[v] * total, total * alpha[v]
+    if not abs(gap) < 2 * d:
+        out.violations.append(_witness(ctx, anchor=v, gap=(gap, d)))
 
 
 def _check_lambda_bound(ctx, out, numerators, d):
@@ -216,9 +223,10 @@ def _check_c11(ctx, out):
 
 
 def _check_c12(ctx, out):
-    d = ctx.stats.density
-    if not Fraction(1, 2) < d < Fraction(3, 4):
-        out.violations.append(_witness(ctx, density=d))
+    # D = S/(nN)
+    s, nn = ctx.order_sum, ctx.tree.n * ctx.sums[2]
+    if not (nn < 2 * s and 4 * s < 3 * nn):
+        out.violations.append(_witness(ctx, density=(s, nn)))
 
 
 _series_reduced = attrgetter("series_reduced")

@@ -12,7 +12,6 @@ from subtree_density.dp import (
     rooted_counts,
     vertex_sums,
     vertex_view,
-    vertex_views,
 )
 from subtree_density.oracle import oracle_stats, oracle_tally
 from subtree_density.tree import Tree, TreeError
@@ -136,16 +135,18 @@ class TestVertexView:
 
 
 class TestVertexViews:
+    """Per-vertex values at every vertex: vertex_sums, and vertex_view rooted at each."""
+
     @given(random_trees(9))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, t):
         s = oracle_stats(t)
-        views = vertex_views(t)
-        assert views == [vertex_view(t, v) for v in range(t.n)]
+        alpha, sigma, _ = vertex_sums(t)
         _, alphas, sigmas, _ = oracle_tally(t)
-        for view, alpha, osum in zip(views, alphas, sigmas):
-            assert view.alpha == alpha and view.alpha_bar == s.subtree_count - alpha
-            assert view.lam == Fraction(osum, alpha)
+        for u, (a, osum) in enumerate(zip(alphas, sigmas)):
+            view = vertex_view(t, u)
+            assert view.alpha == alpha[u] == a and view.alpha_bar == s.subtree_count - a
+            assert view.lam == Fraction(sigma[u], alpha[u]) == Fraction(osum, a)
             if view.alpha_bar:
                 assert view.lambda_bar == Fraction(s.order_sum - osum, view.alpha_bar)
             else:
@@ -160,13 +161,11 @@ class TestVertexViews:
     def test_star_beyond_oracle_limit(self):
         # closed forms for K_{1,m}; test_star_closed_forms pins them to the oracle
         m = 200
-        views = vertex_views(star(m))
-        assert views[0].alpha == 2 ** m
-        assert views[0].lam == Fraction(2 ** m + m * 2 ** (m - 1), 2 ** m)
-        leaf_alpha, leaf_sigma = 2 ** (m - 1) + 1, 1 + 2 ** m + (m - 1) * 2 ** (m - 2)
-        for view in views[1:]:
-            assert view.alpha == leaf_alpha
-            assert view.lam == Fraction(leaf_sigma, leaf_alpha)
+        alpha, sigma, total = vertex_sums(star(m))
+        assert (alpha[0], sigma[0]) == (2 ** m, 2 ** m + m * 2 ** (m - 1))
+        leaf = (2 ** (m - 1) + 1, 1 + 2 ** m + (m - 1) * 2 ** (m - 2))
+        assert list(zip(alpha, sigma))[1:] == [leaf] * m
+        assert total == 2 ** m + m
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_star_closed_forms(self, m):

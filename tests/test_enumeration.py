@@ -33,6 +33,25 @@ def relabel(tree, perm):
     return Tree(tree.n, [(perm[u], perm[v]) for u, v in tree.edges])
 
 
+def _components_without(tree, v):
+    """The vertex sets of the components of T - v, by graph search."""
+    seen, components = {v}, []
+    for start in range(tree.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, component = [start], []
+        while stack:
+            u = stack.pop()
+            component.append(u)
+            for w in tree.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        components.append(component)
+    return components
+
+
 def reference_rooted_level_sequences(n):
     """Canonical level sequences of the rooted trees on n vertices, in decreasing
     order, by the successor rule: find the last entry p with level > 1, locate
@@ -97,6 +116,11 @@ class TestCanonicalForm:
         assert centroids(path(4)) == [1, 2]
         assert centroids(star(5)) == [0]
         assert centroids(path(1)) == [0]
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                largest = [max(map(len, _components_without(t, v)), default=0)
+                           for v in range(t.n)]
+                assert centroids(t) == [v for v in range(t.n) if largest[v] == min(largest)]
 
 
 class TestEnumeration:

@@ -99,6 +99,7 @@ class TestCoefficients:
             d, t = ranks._coefficient_table(count)
             assert len(t) == count
             assert all(tj * c.denominator == c.numerator * d for tj, c in zip(t, cs))
+            assert c_sequence(count) == cs[:count]
 
     def test_bounds_build_no_fraction(self, monkeypatch):
         built = []

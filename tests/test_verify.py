@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subtree_density import tree as tree_module, verify
-from subtree_density.dp import vertex_view
+from subtree_density import dp
+from subtree_density.dp import SubtreeStats, global_stats, good_anchor, vertex_sums, vertex_view
 from subtree_density.enumeration import canonical_form, enumerate_trees, sample_series_reduced
 from subtree_density.ranks import rank_bound_numerators, rank_lower_bound, simple_lower_bound
 from subtree_density.rationals import format_ratio
-from subtree_density.tree import Tree, is_series_reduced
+from subtree_density.tree import Tree, classify_vertices, is_series_reduced
 from subtree_density.verify import ALL_CHECKS, check_stpoly, run_checks
 
 from test_tree import path, star
@@ -23,6 +24,9 @@ def enum_range(lo, hi, series_reduced=False):
 
 def outcome(report, check):
     return next(o for o in report.outcomes if o.check == check)
+
+
+TREE_CHECKS = [c for c in ALL_CHECKS if c != "C6"]
 
 
 class TestStpoly:
@@ -131,9 +135,8 @@ class TestRunChecks:
         }
         rule = {"C1": "n >= 4", "C4": "n >= 4", "C8": "internal vertex",
                 "C9": "series-reduced, n >= 30"}
-        tree_checks = [c for c in ALL_CHECKS if c != "C6"]
-        report = run_checks(trees, tree_checks)
-        for c in tree_checks:
+        report = run_checks(trees, TREE_CHECKS)
+        for c in TREE_CHECKS:
             out = outcome(report, c)
             assert out.trees_examined == len(trees)
             assert out.trees_applicable == expected[rule.get(c, "series-reduced")], c
@@ -144,38 +147,41 @@ class TestRunChecks:
 
 
 class TestRootedChecksCost:
-    """C10 and C11 orient each tree, and build Fractions, a fixed number of
-    times, not once per root."""
+    """Every tree check reads one vertex_sums table: a tree is oriented there
+    and in C11's rerooting pass, not once per check or per root."""
 
     @staticmethod
-    def _count_orient(monkeypatch):
-        original, calls = tree_module.orient, []
+    def _count_calls(monkeypatch, module, name):
+        original, calls = getattr(module, name), []
 
-        def counted(tree, root):
-            calls.append(root)
-            return original(tree, root)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "subtree_density" and \
-                    getattr(module, "orient", None) is original:
-                monkeypatch.setattr(module, "orient", counted)
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "subtree_density" and \
+                    getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
         return calls
 
     @pytest.mark.parametrize("n", [60, 300])
     def test_orient_calls_bounded(self, monkeypatch, n):
         trees = [sample_series_reduced(n, seed) for seed in range(3)]
-        calls = self._count_orient(monkeypatch)
+        calls = self._count_calls(monkeypatch, tree_module, "orient")
+        second_passes = [self._count_calls(monkeypatch, dp, name)
+                         for name in ("global_stats", "vertex_view")]
         for t in trees:
             calls.clear()
-            report = run_checks([t], ["C10", "C11"])
+            report = run_checks([t], TREE_CHECKS)
             assert outcome(report, "C11").trees_applicable == 1
-            assert 1 <= len(calls) <= 4
+            assert 1 <= len(calls) <= 2
+        assert second_passes == [[], []]
 
     def test_fraction_constructions_bounded(self, monkeypatch):
-        # a Fraction per vertex would be about 2n; without a witness only
-        # C10's bound is one
+        # a Fraction per vertex would be about 2n; without a witness only C9's
+        # SubtreeStats for good_anchor and C10's bound build any
         trees = [sample_series_reduced(300, seed) for seed in range(3)]
-        run_checks(trees, ["C10", "C11"])  # warms the coefficient caches
+        run_checks(trees, TREE_CHECKS)  # warms the coefficient caches
         original, made = Fraction.__new__, []
 
         def counted(cls, *args, **kwargs):
@@ -185,9 +191,10 @@ class TestRootedChecksCost:
         monkeypatch.setattr(Fraction, "__new__", counted)
         for t in trees:
             made.clear()
-            report = run_checks([t], ["C10", "C11"])
+            report = run_checks([t], TREE_CHECKS)
             assert report.passed and not any(o.equality_cases for o in report.outcomes)
-            assert len(made) <= 10
+            assert outcome(report, "C9").trees_applicable == 1
+            assert len(made) <= 6
 
 
 def caterpillar(spine):
@@ -260,3 +267,97 @@ class TestLambdaChecks:
             assert Fraction(numerators[r], d) == rank_lower_bound(t, r)
         report = run_checks([t], ["C10", "C11"])
         assert report.passed and outcome(report, "C11").trees_applicable == 1
+
+
+MEAN_CHECKS = ("C2", "C4", "C5", "C9", "C12")
+
+
+def _mean_reference(t, stats=None, lam=None):
+    """C2, C4, C5, C9 and C12 in Fractions, from global_stats and vertex_view
+    unless given: check id -> (violations, equality cases), each witness
+    without its n and canonical form."""
+    if stats is None:
+        stats, lam = global_stats(t), lambda v: vertex_view(t, v).lam
+    n, out = t.n, {c: ([], []) for c in MEAN_CHECKS}
+    mu = format_ratio(stats.mu)
+    if n >= 4:
+        if stats.mu > stats.mu_prime:
+            out["C4"][0].append({"mu": mu, "mu_prime": format_ratio(stats.mu_prime)})
+        elif stats.mu == stats.mu_prime:
+            out["C4"][1].append({"mu": mu})
+    if not is_series_reduced(t):
+        return out
+    bound = Fraction(3 * n - 2, 4)
+    if not stats.mu < bound:
+        out["C2"][0].append({"mu": mu, "bound": format_ratio(bound)})
+    twigs = len(classify_vertices(t).twigs)
+    bound = Fraction(3 * n, 4) - Fraction(2 * twigs, 5)
+    if not stats.mu < bound:
+        out["C5"][0].append({"mu": mu, "twigs": twigs, "bound": format_ratio(bound)})
+    if not Fraction(1, 2) < stats.density < Fraction(3, 4):
+        out["C12"][0].append({"density": format_ratio(stats.density)})
+    if n >= 30:
+        v = good_anchor(t, stats)
+        if v is None:
+            out["C9"][0].append({"anchor": None})
+        elif not abs(stats.mu - lam(v)) < 2:
+            out["C9"][0].append({"anchor": v, "gap": format_ratio(stats.mu - lam(v))})
+    return out
+
+
+def _mean_outcomes(t):
+    report = run_checks([t], MEAN_CHECKS)
+
+    def strip(records):
+        return [{k: v for k, v in w.items() if k not in ("n", "canonical_form")}
+                for w in records]
+
+    return {c: (strip(outcome(report, c).violations), strip(outcome(report, c).equality_cases))
+            for c in MEAN_CHECKS}
+
+
+class TestMeanChecks:
+    """C2, C4, C5, C9 and C12 compare mu, mu', D and lambda with their bounds
+    by integer cross-multiplication."""
+
+    @given(st.integers(4, 120), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_reference_sampled(self, n, seed):
+        t = sample_series_reduced(n, seed)
+        assert _mean_outcomes(t) == _mean_reference(t)
+
+    def test_matches_fraction_reference_exhaustive(self):
+        # all free trees hold P4, C4's equality case, and the double star, C12's witness
+        found = set()
+        for t in list(enum_range(4, 9)) + list(enum_range(10, 14, series_reduced=True)):
+            got = _mean_outcomes(t)
+            assert got == _mean_reference(t)
+            found |= {(c, t.n, bool(e)) for c, (v, e) in got.items() if v or e}
+        assert found == {("C4", 4, True), ("C12", 6, False)}
+
+    # star(30) with a doctored (alpha, sigma, N) table, the violated checks
+    # and the checks with an equality case
+    @pytest.mark.parametrize("doctor, violated, equal", [
+        # mu = n = 31, above C2's, C5's and C12's bounds; lambda(0) = 29 and 30
+        # put the gap on C9's bound of 2 and just inside it
+        (lambda a, s, total: ([total] * 31, [29 * total] + s[1:], total),
+         {"C2", "C5", "C9", "C12"}, set()),
+        (lambda a, s, total: ([total] * 31, [30 * total] + s[1:], total),
+         {"C2", "C5", "C12"}, set()),
+        # mu = 1 > mu' = 1/2, D = 1/31, and no anchor
+        (lambda a, s, total: ([1] * 31, [1] * 31, 31), {"C4", "C9", "C12"}, set()),
+        # mu = mu' = 30/29 with l = 30 leaves
+        (lambda a, s, total: ([30] * 31, [30] * 31, 899), {"C9", "C12"}, {"C4"}),
+        # lambda(0) = 1 and lambda(0) = 100: a positive and a negative gap
+        (lambda a, s, total: (a, [a[0]] + s[1:], total), {"C9"}, set()),
+        (lambda a, s, total: (a, [100 * a[0]] + s[1:], total), {"C9"}, set()),
+    ])
+    def test_witnesses_match_fraction_reference(self, monkeypatch, doctor, violated, equal):
+        t = star(30)
+        alpha, sigma, total = doctor(*vertex_sums(t))
+        monkeypatch.setattr(verify, "vertex_sums", lambda tree: (alpha, sigma, total))
+        got = _mean_outcomes(t)
+        stats = SubtreeStats.from_totals(t, total, alpha)
+        assert got == _mean_reference(t, stats, lambda v: Fraction(sigma[v], alpha[v]))
+        assert {c for c, (v, _) in got.items() if v} == violated
+        assert {c for c, (_, e) in got.items() if e} == equal
