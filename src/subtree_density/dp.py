@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .rationals import ratio_json
 from .tree import Tree, TreeError, orient
@@ -93,7 +93,7 @@ def _down_pass(tree: Tree, root: int, sums: bool = True):
     down_sum[p] = down_sum[p]*f + down_count[p]*down_sum[c], down_count[p] *= f.
     down_sum is None when `sums` is false.
     """
-    parent, order = orient(tree, root)
+    parent, order = orient(tree.adj, root)
     down_count = [1] * tree.n
     down_sum = [1] * tree.n if sums else None
     for c in order[:0:-1]:
@@ -179,19 +179,21 @@ def edge_counts(tree: Tree, edge: Tuple[int, int]) -> Tuple[int, int]:
     return alpha_e, sum(down_count) - alpha_e
 
 
-def good_anchor(tree: Tree, stats: Optional[SubtreeStats] = None) -> Optional[int]:
+def good_anchor(tree: Tree, containment: Optional[Sequence[int]] = None,
+                total: Optional[int] = None) -> Optional[int]:
     """Smallest internal vertex v with 2*alpha(T,v) >= n*alpha_bar(T,v), if any.
 
     Any returned vertex satisfies |mu(T) - lambda(T,v)| < 2.  No edge scan
     is needed: every subtree containing an edge e contains its endpoint w,
     so alpha(T,w) >= alpha(T,e) and alpha_bar(T,w) <= alpha_bar(T,e), and an
     edge with 2*alpha(T,e) >= n*alpha_bar(T,e) makes each internal endpoint
-    pass the vertex test.
+    pass the vertex test.  `containment` and `total` (N(T)) come from `global_stats` if absent.
     """
-    if stats is None:
+    if containment is None:
         stats = global_stats(tree)
-    n, total = tree.n, stats.subtree_count
+        containment, total = stats.containment, stats.subtree_count
+    n = tree.n
     for v in range(n):
-        if tree.degree(v) >= 2 and 2 * stats.containment[v] >= n * (total - stats.containment[v]):
+        if tree.degree(v) >= 2 and 2 * containment[v] >= n * (total - containment[v]):
             return v
     return None

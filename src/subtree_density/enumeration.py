@@ -11,7 +11,7 @@ import heapq
 import random
 from typing import Iterator, List, Sequence, Tuple
 
-from .tree import Tree, TreeError, is_series_reduced, orient
+from .tree import Tree, TreeError, _sweeps, is_series_reduced, orient
 
 ENUM_CAP = 18
 SAMPLE_RETRIES = 1000
@@ -63,22 +63,23 @@ def _free_level_sequences(n: int, series_reduced: bool) -> Iterator[List[int]]:
         yield half + [x + 1 for x in other]
 
 
-def tree_from_level_sequence(levels: Sequence[int]) -> Tree:
-    """Build the tree; vertex i's parent is the last j < i at level[i]-1."""
-    n = len(levels)
+def _level_edges(levels: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """(parent, i) for each vertex i > 0: its parent is the last j < i at level[i]-1."""
     last_at = {levels[0]: 0}
-    edges = []
-    for i in range(1, n):
-        parent = last_at[levels[i] - 1]
-        edges.append((parent, i))
+    for i in range(1, len(levels)):
+        yield last_at[levels[i] - 1], i
         last_at[levels[i]] = i
-    return Tree(n, edges)
+
+
+def tree_from_level_sequence(levels: Sequence[int]) -> Tree:
+    """Build the tree, labelled in preorder."""
+    return Tree(len(levels), _level_edges(levels))
 
 
 def centroids(tree: Tree) -> List[int]:
     """The one or two vertices minimising the largest component of T - v."""
     n = tree.n
-    parent, order = orient(tree, 0)
+    parent, order = orient(tree.adj, 0)
     size = [1] * n
     heavy = [0] * n  # size of the largest child subtree
     for u in order[:0:-1]:
@@ -90,10 +91,10 @@ def centroids(tree: Tree) -> List[int]:
     return [v for v in range(n) if 2 * max(heavy[v], n - size[v]) <= n]
 
 
-def _rooted_levels(tree: Tree, root: int) -> List[int]:
-    """Canonical level sequence of `tree` rooted at `root`."""
-    parent, order = orient(tree, root)
-    below: List[list] = [[] for _ in range(tree.n)]
+def _rooted_levels(adj: Sequence[Sequence[int]], root: int) -> List[int]:
+    """Canonical level sequence of the tree with neighbour lists `adj`, rooted at `root`."""
+    parent, order = orient(adj, root)
+    below: List[list] = [[] for _ in adj]
     for u in order[:0:-1]:
         below[parent[u]].append(_hang(below[u]))
         below[u] = None  # a path would otherwise keep quadratically many levels
@@ -106,7 +107,20 @@ def canonical_form(tree: Tree) -> Tuple[int, ...]:
     For bicentroidal trees the lexicographically smaller of the two
     encodings is used.  Equal forms iff isomorphic.
     """
-    return tuple(min(_rooted_levels(tree, c) for c in centroids(tree)))
+    return tuple(min(_rooted_levels(tree.adj, c) for c in centroids(tree)))
+
+
+def _representative(levels: List[int]) -> List[int]:
+    """The greatest leaf-rooted canonical level sequence of the tree with these levels."""
+    adj: List[List[int]] = [[] for _ in levels]
+    for p, c in _level_edges(levels):
+        adj[p].append(c)
+        adj[c].append(p)
+    near, far = _sweeps(adj, levels.index(max(levels)))  # the deepest vertex ends a longest path
+    diam = max(near)
+    # peripheral vertices are leaves (or the one vertex); keep one per neighbour
+    ends = {tuple(adj[v]): v for v in range(len(adj)) if max(near[v], far[v]) == diam}
+    return max(_rooted_levels(adj, v) for v in ends.values())
 
 
 def check_enum_size(n: int) -> None:
@@ -118,15 +132,17 @@ def check_enum_size(n: int) -> None:
 def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
     """One representative per free-tree isomorphism class on n vertices.
 
-    A class's representative is its greatest canonical rooted level
-    sequence, which a peripheral leaf attains, labelled in preorder; the
-    classes come out in decreasing order of it.
+    A class's representative is its greatest canonical level sequence rooted
+    at a leaf, labelled in preorder; the classes come out in decreasing order
+    of it.  Only peripheral leaves, one per neighbour, are tried as roots:
+    - rooted at r the sequence starts 0, 1, ..., ecc(r), as the deepest
+      branch sorts first, so only a leaf with ecc = diameter can attain it;
+    - two leaves on one neighbour are swapped by an automorphism;
+    - for the ends a, b of a longest path, ecc(v) = max(d(a, v), d(b, v));
+      the generator's deepest vertex is such an a, so two sweeps find them.
     """
     check_enum_size(n)
-    found = []
-    for levels in _free_level_sequences(n, series_reduced):
-        tree = tree_from_level_sequence(levels)
-        found.append(max(_rooted_levels(tree, v) for v in range(n) if tree.degree(v) < 2))
+    found = [_representative(levels) for levels in _free_level_sequences(n, series_reduced)]
     for levels in sorted(found, reverse=True):
         yield tree_from_level_sequence(levels)
 

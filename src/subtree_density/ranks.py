@@ -46,7 +46,7 @@ def rank_profile(tree: Tree, root: int) -> Tuple[int, ...]:
     A leaf (no children) has rank 0; any other vertex has rank one more
     than the maximum rank of its children.  The root has no rank.
     """
-    parent, order = orient(tree, root)
+    parent, order = orient(tree.adj, root)
     rank = [0] * tree.n
     for u in order[:0:-1]:
         p = parent[u]
@@ -82,7 +82,7 @@ def rank_bound_numerators(tree: Tree) -> Tuple[List[int], int]:
     changes one rank: h(u->c) leaves the histogram and h(c->u) enters it,
     so bound(c) = bound(u) - c_{h(u->c)} + c_{h(c->u)}.
     """
-    parent, order = orient(tree, 0)
+    parent, order = orient(tree.adj, 0)
     down = [0] * tree.n      # 1 + the largest child height, 0 at a leaf
     second = [0] * tree.n    # 1 + the second largest, 0 if there is none
     for v in order[:0:-1]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 BLOCK_SEPARATOR = "---"
 
@@ -54,7 +54,7 @@ class Tree:
         self.n = n
         self.edges = tuple(norm)
         self.adj = tuple(tuple(a) for a in adj)
-        if len(orient(self, 0)[1]) != n:
+        if len(orient(self.adj, 0)[1]) != n:
             raise TreeError("graph is not connected")
 
     def degree(self, v: int) -> int:
@@ -136,19 +136,20 @@ def parse_trees(text: str) -> List[Tree]:
     return trees
 
 
-def orient(tree: Tree, root: int) -> Tuple[List[int], List[int]]:
-    """Parent array (-1 at the root) and the depth-first discovery order from `root`.
+def orient(adj: Sequence[Sequence[int]], root: int) -> Tuple[List[int], List[int]]:
+    """Parent array (-1 at the root) and depth-first discovery order from `root`.
 
-    Every vertex comes after its parent in that order, so walking it
-    forwards goes top-down and walking it backwards meets children first.
+    `adj` lists each vertex's neighbours, as `Tree.adj` does.  Every vertex
+    comes after its parent in that order, so walking it forwards goes
+    top-down and walking it backwards meets children first.
     """
-    parent = [-2] * tree.n
+    parent = [-2] * len(adj)
     parent[root] = -1
     order = [root]
     stack = [root]
     while stack:
         u = stack.pop()
-        for w in tree.adj[u]:
+        for w in adj[u]:
             if parent[w] == -2:
                 parent[w] = u
                 order.append(w)
@@ -186,13 +187,22 @@ def is_series_reduced(tree: Tree) -> bool:
     return all(tree.degree(v) != 2 for v in range(tree.n))
 
 
-def diameter(tree: Tree) -> int:
-    """Edge count of a longest path: the greatest depth below a vertex farthest from 0."""
-    far = 0
+def _sweeps(adj: Sequence[Sequence[int]], start: int) -> List[List[int]]:
+    """Distances from `start`, then from a vertex farthest from it, which ends a longest path.
+
+    If `start` ends one too, v's eccentricity is the larger of its two distances.
+    """
+    dists, far = [], start
     for _ in range(2):
-        parent, order = orient(tree, far)
-        depth = [0] * tree.n
+        parent, order = orient(adj, far)
+        depth = [0] * len(adj)
         for w in order[1:]:
             depth[w] = depth[parent[w]] + 1
-        far = max(range(tree.n), key=depth.__getitem__)
-    return depth[far]
+        dists.append(depth)
+        far = max(range(len(adj)), key=depth.__getitem__)
+    return dists
+
+
+def diameter(tree: Tree) -> int:
+    """Edge count of a longest path: the greatest distance from a vertex farthest from 0."""
+    return max(_sweeps(tree.adj, 0)[1])

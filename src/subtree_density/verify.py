@@ -20,8 +20,8 @@ Every comparison is exact; equality detection never uses a tolerance.  Each
 tree gets one `dp.vertex_sums` pass: alpha(v) and sigma(v) at every vertex and
 N(T), with order sum S = sum_v alpha(v).  mu = S/N, D = S/(nN), mu' =
 (S-l)/(N-l+1) and lambda = sigma/alpha meet their bounds by integer
-cross-multiplication; only a witness builds a Fraction.  C10's bound is the
-same at every internal root (k is the internal count), and
+cross-multiplication; only a witness builds a Fraction.  C10's bound
+(5n+k+4)/10 is the same at every internal root (k is the internal count), and
 `ranks.rank_bound_numerators` gives C11's bound t/d at every root in one
 rerooting pass, so C10 and C11 are linear per tree.
 """
@@ -36,11 +36,11 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
-from .dp import SubtreeStats, good_anchor, vertex_sums
+from .dp import good_anchor, vertex_sums
 from .dp import vertex_view  # noqa: F401  perfbench/test_perfbench.py reads verify.vertex_view
 from .enumeration import canonical_form
 from .rationals import format_ratio
-from .ranks import rank_bound_numerators, simple_lower_bound
+from .ranks import rank_bound_numerators
 from .tree import Tree, classify_vertices, is_series_reduced
 
 ALL_CHECKS = ("C1", "C2", "C3", "C4", "C5", "C6",
@@ -190,7 +190,7 @@ def _check_c8(ctx, out):
 
 def _check_c9(ctx, out):
     alpha, sigma, total = ctx.sums
-    v = good_anchor(ctx.tree, SubtreeStats.from_totals(ctx.tree, total, alpha))
+    v = good_anchor(ctx.tree, alpha, total)
     if v is None:
         out.violations.append(_witness(ctx, anchor=None))
         return
@@ -213,9 +213,9 @@ def _check_lambda_bound(ctx, out, numerators, d):
 
 
 def _check_c10(ctx, out):
-    # k = |internal| at every internal root, so one bound serves them all
-    bound = simple_lower_bound(ctx.tree, ctx.internal[0])
-    _check_lambda_bound(ctx, out, [bound.numerator] * ctx.tree.n, bound.denominator)
+    # (n+1)/2 + (k-1)/10 = (5n+k+4)/10 with k = |internal| at every internal root
+    n = ctx.tree.n
+    _check_lambda_bound(ctx, out, [5 * n + len(ctx.internal) + 4] * n, 10)
 
 
 def _check_c11(ctx, out):

@@ -175,7 +175,7 @@ def test_criterion_7_anchor_at_scale():
         for seed in range(count):
             t = sample_series_reduced(n_target, seed=1000 * n_target + seed)
             stats = global_stats(t)
-            v = good_anchor(t, stats)
+            v = good_anchor(t, stats.containment, stats.subtree_count)
             if v is None or not abs(stats.mu - vertex_view(t, v).lam) < 2:
                 ok = False
             cases += 1

@@ -3,8 +3,12 @@ import random
 
 import pytest
 
+from subtree_density import enumeration
 from subtree_density.enumeration import (
     ENUM_CAP,
+    _free_level_sequences,
+    _representative,
+    _rooted_levels,
     canonical_form,
     centroids,
     enumerate_trees,
@@ -27,6 +31,43 @@ SERIES_REDUCED_COUNTS = [0, 0, 0, 1, 1, 2, 2, 4, 5, 10, 14, 26, 42, 78, 132, 249
 
 # rooted trees on 1..10 vertices (OEIS A000081)
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+
+
+def counting_series(top):
+    """(rooted, free, series-reduced) tree counts on 0..top vertices, from
+    generating functions alone.  MSET is the Euler transform: the multisets of
+    trees from a class.  Rooted trees R = x MSET(R) (A000081); free trees
+    R - (R^2 - R(x^2))/2 (Otter 1948, A000055).  A series-reduced branch has a
+    root without exactly one child, B = x (MSET(B) - B); a vertex-rooted tree has
+    a root without exactly two children, V = x (MSET(B) - MSET_2(B)); free trees
+    F = V - (B^2 - B(x^2))/2 (Harary and Prins 1959, A000014)."""
+    def mset_next(a, m):
+        # coefficient len(m) of MSET(A) = prod_k (1 - x^k)^(-a_k)
+        n = len(m)
+        return sum(sum(d * a[d] for d in range(1, k + 1) if k % d == 0) * m[n - k]
+                   for k in range(1, n + 1)) // n
+
+    def square(a, n):  # coefficient n of A(x)^2
+        return sum(a[i] * a[n - i] for i in range(n + 1))
+
+    def at_square(a, n):  # coefficient n of A(x^2)
+        return a[n // 2] if n % 2 == 0 else 0
+
+    r, mr, b, mb = [0], [1], [0], [1]
+    for n in range(1, top + 1):
+        r.append(mr[n - 1])
+        mr.append(mset_next(r, mr))
+        b.append(mb[n - 1] - b[n - 1])
+        mb.append(mset_next(b, mb))
+    free = [r[n] - (square(r, n) - at_square(r, n)) // 2 for n in range(top + 1)]
+    reduced = [0] + [mb[n - 1] - (square(b, n - 1) + at_square(b, n - 1)) // 2
+                     - (square(b, n) - at_square(b, n)) // 2 for n in range(1, top + 1)]
+    return r, free, reduced
+
+
+def brute_representative(tree):
+    """The greatest canonical level sequence over every root of degree < 2."""
+    return max(_rooted_levels(tree.adj, v) for v in range(tree.n) if tree.degree(v) < 2)
 
 
 def relabel(tree, perm):
@@ -168,6 +209,44 @@ class TestEnumeration:
         for n in range(1, 15):
             codes = [canonical_form(t) for t in enumerate_trees(n)]
             assert len(codes) == len(set(codes))
+
+    def test_typed_counts_match_counting_series(self):
+        rooted, free, reduced = counting_series(ENUM_CAP)
+        assert ROOTED_TREE_COUNTS == rooted[1:len(ROOTED_TREE_COUNTS) + 1]
+        assert FREE_TREE_COUNTS == free[1:len(FREE_TREE_COUNTS) + 1]
+        # the series counts the one- and two-vertex trees; the census counts
+        # 0 there, since a series-reduced tree needs an internal vertex
+        assert reduced[1:3] == [1, 1] and SERIES_REDUCED_COUNTS[:2] == [0, 0]
+        assert SERIES_REDUCED_COUNTS[2:] == reduced[3:]
+
+    @pytest.mark.parametrize("series_reduced, top", [(False, 12), (True, 16)])
+    def test_representative_is_greatest_leaf_rooting(self, series_reduced, top):
+        for n in range(1, top + 1):
+            for levels in _free_level_sequences(n, series_reduced):
+                assert (_representative(levels)
+                        == brute_representative(tree_from_level_sequence(levels)))
+
+    def _rooted_levels_per_class(self, monkeypatch, n, series_reduced):
+        calls = []
+
+        def counted(adj, root):
+            calls.append(root)
+            return _rooted_levels(adj, root)
+
+        monkeypatch.setattr(enumeration, "_rooted_levels", counted)
+        classes = sum(1 for _ in enumerate_trees(n, series_reduced=series_reduced))
+        return len(calls) / classes
+
+    @pytest.mark.parametrize("n, series_reduced", [(14, False), (18, True)])
+    def test_representative_roots_few_leaves(self, monkeypatch, n, series_reduced):
+        # one peripheral leaf per neighbour: about 2.5 rootings per class,
+        # where every leaf gives 7.0 and 12.6
+        assert self._rooted_levels_per_class(monkeypatch, n, series_reduced) <= 3
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_star_is_rooted_once(self, monkeypatch, m):
+        # K_{1,m} is the only series-reduced tree on m + 1 vertices
+        assert self._rooted_levels_per_class(monkeypatch, m + 1, True) == 1
 
     def test_cap(self):
         with pytest.raises(TreeError, match="1 <= n <="):

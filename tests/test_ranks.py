@@ -23,7 +23,7 @@ from test_verify import caterpillar
 def _rank_histogram(t, root):
     """Histogram of the explicit definition: the rank of a non-root vertex v
     is the edge count of a longest path that starts at v and avoids its parent."""
-    parent, _ = orient(t, root)
+    parent, _ = orient(t.adj, root)
 
     def height(v, came_from):
         return max((1 + height(w, v) for w in t.adj[v] if w != came_from), default=0)

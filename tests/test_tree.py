@@ -127,14 +127,14 @@ class TestParseTrees:
 
 class TestOrient:
     def test_path_rooted_inside(self):
-        parent, order = orient(path(4), 2)
+        parent, order = orient(path(4).adj, 2)
         assert parent == [1, 2, -1, 2]
         assert order[0] == 2 and sorted(order) == [0, 1, 2, 3]
 
     @given(random_trees(), st.data())
     def test_parents_come_first(self, t, data):
         root = data.draw(st.integers(0, t.n - 1))
-        parent, order = orient(t, root)
+        parent, order = orient(t.adj, root)
         position = {v: i for i, v in enumerate(order)}
         assert order[0] == root and parent[root] == -1
         assert sorted(order) == list(range(t.n))

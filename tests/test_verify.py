@@ -178,10 +178,8 @@ class TestRootedChecksCost:
         assert second_passes == [[], []]
 
     def test_fraction_constructions_bounded(self, monkeypatch):
-        # a Fraction per vertex would be about 2n; without a witness only C9's
-        # SubtreeStats for good_anchor and C10's bound build any
+        # a Fraction per vertex would be about 2n; without a witness no check builds one
         trees = [sample_series_reduced(300, seed) for seed in range(3)]
-        run_checks(trees, TREE_CHECKS)  # warms the coefficient caches
         original, made = Fraction.__new__, []
 
         def counted(cls, *args, **kwargs):
@@ -194,7 +192,7 @@ class TestRootedChecksCost:
             report = run_checks([t], TREE_CHECKS)
             assert report.passed and not any(o.equality_cases for o in report.outcomes)
             assert outcome(report, "C9").trees_applicable == 1
-            assert len(made) <= 6
+            assert made == []
 
 
 def caterpillar(spine):
@@ -249,15 +247,16 @@ class TestLambdaChecks:
         assert _lambda_outcomes(star(m)) == {"C10": ([], [(0, lam)]), "C11": ([], [(0, lam)])}
 
     def test_violation_witness_is_reduced_exactly(self, monkeypatch):
+        # at the centre of star(5), alpha = 32 and sigma = 112, so lambda = 7/2,
+        # which C10's (35, 10) and C11's unreduced (t, d) both equal; tripling
+        # alpha and sigma there leaves lambda unreduced too
         t = star(5)
-        lam = vertex_view(t, 0).lam
-        bound = lam + Fraction(1, 7)
-        monkeypatch.setattr(verify, "simple_lower_bound", lambda tree, root: bound)
-        # C11's bound over an unreduced common denominator
-        monkeypatch.setattr(verify, "rank_bound_numerators", lambda tree: (
-            [3 * bound.numerator] * tree.n, 3 * bound.denominator))
-        expected = ([(0, format_ratio(lam), format_ratio(bound))], [])
-        assert _lambda_outcomes(t) == {"C10": expected, "C11": expected}
+        alpha, sigma, total = vertex_sums(t)
+        assert (alpha[0], sigma[0]) == (32, 112)
+        for sigma0, expected in ((111, ([(0, "111/32", "7/2")], [])), (112, ([], [(0, "7/2")]))):
+            doctored = ([96] + alpha[1:], [3 * sigma0] + sigma[1:], total)
+            monkeypatch.setattr(verify, "vertex_sums", lambda tree, sums=doctored: sums)
+            assert _lambda_outcomes(t) == {"C10": expected, "C11": expected}
 
     def test_deep_caterpillar(self):
         t = caterpillar(300)
@@ -297,7 +296,7 @@ def _mean_reference(t, stats=None, lam=None):
     if not Fraction(1, 2) < stats.density < Fraction(3, 4):
         out["C12"][0].append({"density": format_ratio(stats.density)})
     if n >= 30:
-        v = good_anchor(t, stats)
+        v = good_anchor(t, stats.containment, stats.subtree_count)
         if v is None:
             out["C9"][0].append({"anchor": None})
         elif not abs(stats.mu - lam(v)) < 2:
