@@ -5,7 +5,8 @@ Fractions in lowest terms.  A down pass from a root folds each child into
 its parent; a top-down pass then moves the root across each edge (u, c).
 Its divisions are exact: with f = down_count[c] + 1, alpha(u) = f*a and
 sigma(u) = f*b + a*down_sum[c], where a subtrees with order sum b contain u
-but not c.
+but not c.  Each edge keeps its division's divisor or its quotient short,
+and equal sibling branches share one result (see `_top_down`).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _down_pass(tree: Tree, root: int, sums: bool = True):
     down_sum[p] = down_sum[p]*f + down_count[p]*down_sum[c], down_count[p] *= f.
     down_sum is None when `sums` is false.
     """
-    parent, order = orient(tree.adj, root)
+    parent, order = (tree.parent, tree.order) if root == 0 else orient(tree.adj, root)
     down_count = [1] * tree.n
     down_sum = [1] * tree.n if sums else None
     for c in order[:0:-1]:
@@ -108,20 +109,46 @@ def _down_pass(tree: Tree, root: int, sums: bool = True):
 def _top_down(parent, order, down_count, down_sum=None):
     """alpha(v) for every v, and sigma(v) (order sum over them) if down_sum is given.
 
-    Over an edge (u, c) with f = down_count[c] + 1, a = alpha(u) // f
-    subtrees contain u but not c; they have order sum
-    b = (sigma(u) - a*down_sum[c]) // f.
+    Over an edge (u, c) with f = down_count[c] + 1, a subtrees with order sum
+    b contain u but not c: c's outside pair (out[c], out_sum[c]).  A child
+    whose down_count (and down_sum) equal those of the sibling before it,
+    which `orient` lists next to it, takes that sibling's ints.  Otherwise
+    q = down_count[u] // f subtrees below u miss c's branch, and f*q is
+    down_count[u], so the shorter of f and q has at most half its bits:
+    - light route, f <= q: a = alpha(u) // f, b = (sigma(u) - a*down_sum[c]) // f,
+      each divided by the short f;
+    - heavy route, q < f (at most one child, as f*f > down_count[u]): those q
+      subtrees have order sum qs = (down_sum[u] - q*down_sum[c]) // f, and
+      a = q*(out[u] + 1), b = qs*(out[u] + 1) + q*out_sum[u]; q and qs are
+      short quotients.
     """
     alpha = list(down_count)
     sigma = None if down_sum is None else list(down_sum)
+    out, out_sum = [0] * len(order), [0] * len(order)
+    prev = order[0]
     for c in order[1:]:
-        u = parent[c]
-        f = down_count[c] + 1
-        a = alpha[u] // f
-        alpha[c] = down_count[c] * (a + 1)
+        u, sib, prev = parent[c], prev, c
+        dc = down_count[c]
+        if dc == down_count[sib] and parent[sib] == u and \
+                (sigma is None or down_sum[c] == down_sum[sib]):
+            alpha[c], out[c], out_sum[c] = alpha[sib], out[sib], out_sum[sib]
+            if sigma is not None:
+                sigma[c] = sigma[sib]
+            continue
+        f = dc + 1
+        q = down_count[u] // f
+        if q < f:  # the heavy route
+            o = out[u] + 1
+            a = q * o
+            if sigma is not None:
+                b = (down_sum[u] - q * down_sum[c]) // f * o + q * out_sum[u]
+        else:
+            a = alpha[u] // f
+            if sigma is not None:
+                b = (sigma[u] - a * down_sum[c]) // f
+        alpha[c], out[c] = dc * (a + 1), a
         if sigma is not None:
-            b = (sigma[u] - a * down_sum[c]) // f
-            sigma[c] = down_sum[c] * (a + 1) + down_count[c] * b
+            sigma[c], out_sum[c] = down_sum[c] * (a + 1) + dc * b, b
     return alpha, sigma
 
 

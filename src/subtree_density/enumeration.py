@@ -78,8 +78,7 @@ def tree_from_level_sequence(levels: Sequence[int]) -> Tree:
 
 def centroids(tree: Tree) -> List[int]:
     """The one or two vertices minimising the largest component of T - v."""
-    n = tree.n
-    parent, order = orient(tree.adj, 0)
+    n, parent, order = tree.n, tree.parent, tree.order
     size = [1] * n
     heavy = [0] * n  # size of the largest child subtree
     for u in order[:0:-1]:

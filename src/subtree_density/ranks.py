@@ -82,7 +82,7 @@ def rank_bound_numerators(tree: Tree) -> Tuple[List[int], int]:
     changes one rank: h(u->c) leaves the histogram and h(c->u) enters it,
     so bound(c) = bound(u) - c_{h(u->c)} + c_{h(c->u)}.
     """
-    parent, order = orient(tree.adj, 0)
+    parent, order = tree.parent, tree.order
     down = [0] * tree.n      # 1 + the largest child height, 0 at a leaf
     second = [0] * tree.n    # 1 + the second largest, 0 if there is none
     for v in order[:0:-1]:

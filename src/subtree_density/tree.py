@@ -27,9 +27,10 @@ class Tree:
 
     Construction validates everything: endpoint ranges, no self-loops or
     duplicate edges, exactly n-1 edges, connectivity (acyclicity follows).
+    `parent` and `order` are `orient(adj, 0)` as tuples, kept from that check.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "parent", "order")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
@@ -54,8 +55,10 @@ class Tree:
         self.n = n
         self.edges = tuple(norm)
         self.adj = tuple(tuple(a) for a in adj)
-        if len(orient(self.adj, 0)[1]) != n:
+        parent, order = orient(self.adj, 0)
+        if len(order) != n:
             raise TreeError("graph is not connected")
+        self.parent, self.order = tuple(parent), tuple(order)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -137,23 +140,21 @@ def parse_trees(text: str) -> List[Tree]:
 
 
 def orient(adj: Sequence[Sequence[int]], root: int) -> Tuple[List[int], List[int]]:
-    """Parent array (-1 at the root) and depth-first discovery order from `root`.
+    """Parent array (-1 at the root) and breadth-first discovery order from `root`.
 
     `adj` lists each vertex's neighbours, as `Tree.adj` does.  Every vertex
     comes after its parent in that order, so walking it forwards goes
-    top-down and walking it backwards meets children first.
+    top-down and walking it backwards meets children first; a vertex's
+    children sit next to each other, in `adj` order.
     """
     parent = [-2] * len(adj)
     parent[root] = -1
     order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
+    for u in order:  # the loop reaches what it appends: breadth-first
         for w in adj[u]:
             if parent[w] == -2:
                 parent[w] = u
                 order.append(w)
-                stack.append(w)
     return parent, order
 
 

@@ -13,10 +13,13 @@ from subtree_density.dp import (
     vertex_sums,
     vertex_view,
 )
+from subtree_density.enumeration import sample_series_reduced
+from subtree_density.families import broom, star_chain, starfish
 from subtree_density.oracle import oracle_stats, oracle_tally
 from subtree_density.tree import Tree, TreeError
 
 from test_tree import path, star, random_trees
+from test_verify import caterpillar
 
 P4 = path(4)
 K13 = star(3)
@@ -174,6 +177,56 @@ class TestVertexViews:
         assert profiles[0] == (2 ** m, 2 ** m + m * 2 ** (m - 1))
         leaf = (2 ** (m - 1) + 1, 1 + 2 ** m + (m - 1) * 2 ** (m - 2))
         assert profiles[1:] == [leaf] * m
+
+
+def _twin_branches():
+    """Vertex 0 above a three-leaf star and an eight-vertex path: two siblings
+    with down_count 8 and down_sum 20 and 36, listed next to each other."""
+    edges = [(0, 1), (1, 2), (1, 3), (1, 4), (0, 5)] + [(i, i + 1) for i in range(5, 12)]
+    return Tree(13, edges)
+
+
+def _assert_matches_vertex_view(t):
+    alpha, sigma, total = vertex_sums(t)
+    assert global_stats(t).containment == tuple(alpha)
+    for v in range(t.n):
+        view = vertex_view(t, v)
+        assert view.alpha == alpha[v] and view.alpha_bar == total - alpha[v]
+        assert view.lam == Fraction(sigma[v], alpha[v])
+
+
+class TestRerootingRoutes:
+    """The rerooting pass's sibling shares and light and heavy routes against
+    vertex_view, one down pass per root, on trees beyond the oracle's reach."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: star_chain(40, 5), lambda: broom(10, 30), lambda: starfish(6, 6),
+        lambda: path(200), lambda: star(300), lambda: caterpillar(60), _twin_branches,
+        lambda: sample_series_reduced(40, 0), lambda: sample_series_reduced(150, 1),
+        lambda: sample_series_reduced(400, 2),
+    ], ids=["star_chain", "broom", "starfish", "path", "star", "caterpillar", "twins",
+            "sampled-40", "sampled-150", "sampled-400"])
+    def test_matches_vertex_view(self, make):
+        _assert_matches_vertex_view(make())
+
+    @given(random_trees(40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_vertex_view_random(self, t):
+        _assert_matches_vertex_view(t)
+
+    def test_star_leaves_share_one_int(self):
+        t = star(2000)
+        alpha, sigma, _ = vertex_sums(t)
+        for values in (global_stats(t).containment, alpha, sigma):
+            assert len({id(x) for x in values[1:]}) == 1
+
+    def test_star_chain_leaves_share_per_star(self):
+        s, p = 30, 5
+        t = star_chain(s, p)
+        alpha, sigma, _ = vertex_sums(t)
+        for values in (global_stats(t).containment, alpha, sigma):
+            for i in range(s):
+                assert len({id(values[i * p + j]) for j in range(1, p)}) == 1
 
 
 class TestEdgeCounts:

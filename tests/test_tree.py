@@ -126,6 +126,18 @@ class TestParseTrees:
 
 
 class TestOrient:
+    @given(random_trees(), st.randoms(use_true_random=False))
+    def test_tree_keeps_orientation_from_zero(self, t, rng):
+        parent, order = orient(t.adj, 0)
+        assert type(t.parent) is tuple and type(t.order) is tuple
+        assert (list(t.parent), list(t.order)) == (parent, order)
+        # another input order of the same edges, each either way round, is the same tree
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+        rng.shuffle(edges)
+        other = Tree(t.n, edges)
+        assert other == t and hash(other) == hash(t)
+        assert (other.parent, other.order) == (t.parent, t.order)
+
     def test_path_rooted_inside(self):
         parent, order = orient(path(4).adj, 2)
         assert parent == [1, 2, -1, 2]
@@ -140,6 +152,10 @@ class TestOrient:
         assert sorted(order) == list(range(t.n))
         for v in order[1:]:
             assert v in t.adj[parent[v]] and position[parent[v]] < position[v]
+        # each vertex's children sit next to each other, which `dp._top_down` relies on
+        for u in range(t.n):
+            at = sorted(position[w] for w in t.adj[u] if parent[w] == u)
+            assert at == list(range(at[0], at[0] + len(at)) if at else [])
 
 
 class TestClassification:
