@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .rationals import ratio_json
+from .rationals import _int_text, ratio_json
 from .tree import Tree, TreeError, orient
 
 
@@ -46,11 +46,12 @@ class SubtreeStats:
         """Stats from N(T) and alpha(T, v) per vertex.
 
         The order sum is sum_v alpha(T, v), each subtree counted once per
-        vertex.  S' adds the empty set and drops the leaf singletons; it is
-        undefined for the one-vertex tree.
+        vertex; each run of one int object (see `_run_sum`) is added once.
+        S' adds the empty set and drops the leaf singletons; it is undefined
+        for the one-vertex tree.
         """
         containment = tuple(containment)
-        order_sum = sum(containment)
+        order_sum = _run_sum(containment)
         mu = Fraction(order_sum, total)
         mu_prime = spc = sps = None
         if tree.n > 1:
@@ -61,21 +62,47 @@ class SubtreeStats:
                    mu_prime, spc, sps)
 
     def to_json_dict(self) -> dict:
-        # each distinct count is converted once: a star's leaves share one value
-        text = {c: str(c) for c in set(self.containment)}
+        """The stats with every count as a decimal string, at any digit count.
+
+        Each run of one int object is converted once, and equal values held
+        in different objects share one string: a star's leaves cost one.
+        """
+        text, containment, prev = {}, [], None
+        for c in self.containment:
+            if c is not prev:
+                s = text.get(c)
+                if s is None:
+                    s = text[c] = _int_text(c)
+                prev = c
+            containment.append(s)
         out = {
             "n": self.n,
-            "subtree_count": str(self.subtree_count),
-            "order_sum": str(self.order_sum),
-            "containment": [text[c] for c in self.containment],
+            "subtree_count": _int_text(self.subtree_count),
+            "order_sum": _int_text(self.order_sum),
+            "containment": containment,
             "mu": ratio_json(self.mu),
             "density": ratio_json(self.density),
         }
         if self.mu_prime is not None:
             out["mu_prime"] = ratio_json(self.mu_prime)
-            out["s_prime_count"] = str(self.s_prime_count)
-            out["s_prime_order_sum"] = str(self.s_prime_order_sum)
+            out["s_prime_count"] = _int_text(self.s_prime_count)
+            out["s_prime_order_sum"] = _int_text(self.s_prime_order_sum)
         return out
+
+
+def _run_sum(values: Sequence[int]) -> int:
+    """sum(values) over a non-empty sequence, adding each run once as value * length.
+
+    A run is consecutive entries that are one int object, as `_top_down`
+    gives equal sibling branches.
+    """
+    total, prev, run = 0, values[0], 0
+    for c in values:
+        if c is not prev:
+            total += prev * run if run > 1 else prev
+            prev, run = c, 0
+        run += 1
+    return total + (prev * run if run > 1 else prev)
 
 
 @dataclass(frozen=True)

@@ -146,22 +146,47 @@ def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
         yield tree_from_level_sequence(levels)
 
 
-def prufer_to_tree(seq: List[int], n: int) -> Tree:
-    """Labeled tree on n >= 2 vertices from a Pruefer sequence of length n-2."""
+def _prufer_neighbours(seq: Sequence[int], n: int) -> List[List[int]]:
+    """Neighbour lists of the labeled tree on n >= 2 vertices with Pruefer sequence `seq`."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
-    edges = []
+    adj = [[] for _ in range(n)]
     for x in seq:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        adj[leaf].append(x)
+        adj[x].append(leaf)
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Tree(n, edges)
+    a, b = heapq.heappop(leaves), heapq.heappop(leaves)
+    adj[a].append(b)
+    adj[b].append(a)
+    return adj
+
+
+def _suppressed(adj: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, int]]]:
+    """(vertex count, edges) of the tree `adj` with its degree-2 vertices spliced out."""
+    kept = [v for v, a in enumerate(adj) if len(a) != 2]
+    index = {v: i for i, v in enumerate(kept)}
+    edges = set()
+    for u in kept:
+        for w in adj[u]:
+            prev, cur = u, w
+            while len(adj[cur]) == 2:
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+            if u < cur:
+                edges.add((index[u], index[cur]))
+    return len(kept), sorted(edges)
+
+
+def prufer_to_tree(seq: List[int], n: int) -> Tree:
+    """Labeled tree on n >= 2 vertices from a Pruefer sequence of length n-2."""
+    adj = _prufer_neighbours(seq, n)
+    return Tree(n, [(u, w) for u, a in enumerate(adj) for w in a if u < w])
 
 
 def random_labeled_tree(n: int, rng: random.Random) -> Tree:
@@ -179,18 +204,7 @@ def suppress_degree_two(tree: Tree) -> Tree:
     label order; each maximal chain of degree-2 vertices becomes one edge.
     Every tree keeps at least one vertex: a leaf, or its single vertex.
     """
-    kept = [v for v in range(tree.n) if tree.degree(v) != 2]
-    index = {v: i for i, v in enumerate(kept)}
-    edges = set()
-    for u in kept:
-        for w in tree.adj[u]:
-            prev, cur = u, w
-            while tree.degree(cur) == 2:
-                a, b = tree.adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-            if u < cur:
-                edges.add((index[u], index[cur]))
-    return Tree(len(kept), sorted(edges))
+    return Tree(*_suppressed(tree.adj))
 
 
 def sample_series_reduced(n_target: int, seed: int) -> Tree:
@@ -198,13 +212,15 @@ def sample_series_reduced(n_target: int, seed: int) -> Tree:
 
     Draws uniform labeled trees on n_target + slack vertices and suppresses
     degree-2 vertices; grows the slack until the reduction is large enough.
+    Each draw stays a neighbour list: only the reduced candidate is a `Tree`.
     """
     if n_target < 4:
         raise TreeError("sample_series_reduced requires n_target >= 4")
     rng = random.Random(seed)
     size = max(n_target + 4, (n_target * 5) // 3)
     for _ in range(SAMPLE_RETRIES):
-        candidate = suppress_degree_two(random_labeled_tree(size, rng))
+        seq = [rng.randrange(size) for _ in range(size - 2)]
+        candidate = Tree(*_suppressed(_prufer_neighbours(seq, size)))
         if candidate.n >= n_target and is_series_reduced(candidate):
             return candidate
         size += max(1, size // 10)

@@ -14,8 +14,16 @@ def to_decimal(value: Fraction, digits: int) -> str:
     return str(d)
 
 
+def _int_text(value: int) -> str:
+    """str(value), also past the interpreter's int-to-str digit limit, which stays as set."""
+    try:
+        return str(value)
+    except ValueError:  # Decimal(int) is exact, not bound by that limit, and prints the same digits
+        return str(decimal.Decimal(value))
+
+
 def ratio_json(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    return {"num": _int_text(value.numerator), "den": _int_text(value.denominator)}
 
 
 def format_ratio(value: Fraction) -> str:

@@ -20,10 +20,11 @@ Every comparison is exact; equality detection never uses a tolerance.  Each
 tree gets one `dp.vertex_sums` pass: alpha(v) and sigma(v) at every vertex and
 N(T), with order sum S = sum_v alpha(v).  mu = S/N, D = S/(nN), mu' =
 (S-l)/(N-l+1) and lambda = sigma/alpha meet their bounds by integer
-cross-multiplication; only a witness builds a Fraction.  C10's bound
-(5n+k+4)/10 is the same at every internal root (k is the internal count), and
-`ranks.rank_bound_numerators` gives C11's bound t/d at every root in one
-rerooting pass, so C10 and C11 are linear per tree.
+cross-multiplication (lambda only where the integer parts tie); only a
+witness builds a Fraction.  C10's bound (5n+k+4)/10 is the same at every
+internal root (k is the internal count), and `ranks.rank_bound_numerators`
+gives C11's bound t/d at every root in one rerooting pass, so C10 and C11
+are linear per tree.
 """
 
 from __future__ import annotations
@@ -201,10 +202,15 @@ def _check_c9(ctx, out):
 
 
 def _check_lambda_bound(ctx, out, numerators, d):
-    """lambda(T, v) = sigma/alpha >= numerators[v]/d at every internal root v."""
+    """lambda(T, v) = sigma/alpha >= numerators[v]/d at every internal root v.
+
+    Unequal integer parts decide it; only equal ones need the cross-multiplication.
+    """
     alpha, sigma, _ = ctx.sums
     for v in ctx.internal:
-        lhs, rhs = sigma[v] * d, numerators[v] * alpha[v]
+        lhs, rhs = sigma[v] // alpha[v], numerators[v] // d
+        if lhs == rhs:
+            lhs, rhs = sigma[v] * d, numerators[v] * alpha[v]
         if lhs < rhs:
             out.violations.append(_witness(ctx, vertex=v, lam=(sigma[v], alpha[v]),
                                            bound=(numerators[v], d)))

@@ -10,17 +10,6 @@ import pytest
 from subtree_density.cli import main
 
 
-@pytest.fixture(autouse=True)
-def restore_int_digit_limit():
-    """main() lifts the interpreter's int-to-str digit limit; undo it per test."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    yield
-    sys.set_int_max_str_digits(limit)
-
-
 @pytest.fixture
 def p4_file(tmp_path):
     f = tmp_path / "p4.tree"

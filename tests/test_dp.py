@@ -1,10 +1,13 @@
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from subtree_density.dp import (
+    SubtreeStats,
     all_containment_counts,
     edge_counts,
     global_stats,
@@ -227,6 +230,88 @@ class TestRerootingRoutes:
         for values in (global_stats(t).containment, alpha, sigma):
             for i in range(s):
                 assert len({id(values[i * p + j]) for j in range(1, p)}) == 1
+
+
+class _CountingInt(int):
+    """An int that tallies its hashes, string conversions, sums and products."""
+
+    calls = Counter()
+
+    def __hash__(self):
+        self.calls["hash"] += 1
+        return int.__hash__(self)
+
+    def __str__(self):
+        self.calls["str"] += 1
+        return int.__repr__(self)
+
+    def __add__(self, other):
+        self.calls["arith"] += 1
+        return int(self) + other
+
+    def __mul__(self, other):
+        self.calls["arith"] += 1
+        return int(self) * other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _centre_mid_range(m):
+    """star(m) with its centre relabelled m // 2, so the leaves' run breaks there."""
+    c = m // 2
+    return Tree(m + 1, [(c, v) for v in range(m + 1) if v != c])
+
+
+def _assert_totals_and_text(t):
+    stats = global_stats(t)
+    assert stats.order_sum == sum(stats.containment)
+    doc = stats.to_json_dict()
+    assert doc["containment"] == [str(c) for c in stats.containment]
+    assert doc["order_sum"] == str(stats.order_sum)
+
+
+class TestContainmentRuns:
+    """from_totals and to_json_dict take each run of one int object once."""
+
+    def test_one_object_is_added_and_converted_once(self):
+        x = _CountingInt(2 ** 200 + 1)
+        _CountingInt.calls.clear()
+        stats = SubtreeStats.from_totals(star(999), 2 ** 999, [x] * 1000)
+        doc = stats.to_json_dict()
+        assert stats.order_sum == 1000 * int(x)
+        assert doc["containment"] == [int.__repr__(x)] * 1000
+        calls = _CountingInt.calls
+        assert calls["hash"] <= 2 and calls["str"] == 1 and calls["arith"] <= 2
+
+    @given(random_trees(30))
+    @settings(max_examples=60, deadline=None)
+    def test_random(self, t):
+        _assert_totals_and_text(t)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _centre_mid_range(40), lambda: broom(10, 30), lambda: star_chain(20, 5),
+    ], ids=["star-centre-mid-range", "broom", "star_chain"])
+    def test_families(self, make):
+        _assert_totals_and_text(make())
+
+    def test_centre_mid_range_breaks_the_run(self):
+        # vertex 0 is the root of the rerooting pass: a leaf with its own int,
+        # equal in value to the other leaves' shared one
+        t = _centre_mid_range(40)
+        containment = global_stats(t).containment
+        assert len({id(c) for c in containment[1:20] + containment[21:]}) == 1
+        assert containment[0] == containment[1] and containment[0] is not containment[1]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_json_beyond_int_digit_limit(self):
+        # the centre's 2**15000 has 4,516 digits, past the default limit of 4,300
+        stats = global_stats(star(15000))
+        sys.set_int_max_str_digits(0)
+        lifted = stats.to_json_dict()
+        sys.set_int_max_str_digits(4300)
+        assert stats.to_json_dict() == lifted
+        assert sys.get_int_max_str_digits() == 4300
 
 
 class TestEdgeCounts:

@@ -6,6 +6,7 @@ import pytest
 from subtree_density import enumeration
 from subtree_density.enumeration import (
     ENUM_CAP,
+    SAMPLE_RETRIES,
     _free_level_sequences,
     _representative,
     _rooted_levels,
@@ -291,6 +292,22 @@ class TestSampling:
 
     def test_sample_deterministic(self):
         assert sample_series_reduced(25, seed=9) == sample_series_reduced(25, seed=9)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 10, 30, 40, 120, 300, 400])
+    def test_sample_matches_tree_composition(self, n):
+        # the sampler's neighbour-list path against suppress_degree_two over
+        # random_labeled_tree, with the same draws and retry rule
+        def reference(seed):
+            rng = random.Random(seed)
+            size = max(n + 4, (n * 5) // 3)
+            for _ in range(SAMPLE_RETRIES):
+                candidate = suppress_degree_two(random_labeled_tree(size, rng))
+                if candidate.n >= n and is_series_reduced(candidate):
+                    return candidate
+                size += max(1, size // 10)
+
+        for seed in range(30):
+            assert sample_series_reduced(n, seed) == reference(seed)
 
     def test_sample_target_guard(self):
         with pytest.raises(TreeError, match="n_target"):

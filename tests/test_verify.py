@@ -258,6 +258,32 @@ class TestLambdaChecks:
             monkeypatch.setattr(verify, "vertex_sums", lambda tree, sums=doctored: sums)
             assert _lambda_outcomes(t) == {"C10": expected, "C11": expected}
 
+    @pytest.mark.parametrize("sigma0, expected, products", [
+        (95, ([(0, "95/32", "7/2")], []), 0),  # integer parts 2 < 3 decide a violation
+        (160, ([], []), 0),  # integer parts 5 > 3: no witness
+        (111, ([(0, "111/32", "7/2")], []), 4),  # parts 3 = 3: cross-multiplied,
+        (112, ([], [(0, "7/2")]), 4),  # sigma*d and t*alpha in each of C10 and C11
+    ])
+    def test_integer_parts_decide_before_cross_multiplying(self, monkeypatch, sigma0,
+                                                             expected, products):
+        # the centre of star(5) as above, its alpha and sigma tripled; the
+        # bound 7/2 has integer part 3
+        seen = []
+
+        class Counted(int):
+            def __mul__(self, other):
+                seen.append(other)
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+        t = star(5)
+        alpha, sigma, total = vertex_sums(t)
+        doctored = ([Counted(96)] + alpha[1:], [Counted(3 * sigma0)] + sigma[1:], total)
+        monkeypatch.setattr(verify, "vertex_sums", lambda tree: doctored)
+        assert _lambda_outcomes(t) == {"C10": expected, "C11": expected}
+        assert len(seen) == products
+
     def test_deep_caterpillar(self):
         t = caterpillar(300)
         assert t.n == 602 and is_series_reduced(t)
