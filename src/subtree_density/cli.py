@@ -10,7 +10,7 @@ import sys
 from typing import List, Tuple
 
 from . import dp, enumeration, families, oracle, ranks, verify
-from .rationals import format_ratio, to_decimal
+from .rationals import _int_text, format_ratio, to_decimal
 from .tree import BLOCK_SEPARATOR, Tree, TreeError, parse_trees, serialize
 
 
@@ -117,7 +117,8 @@ def _write_stats(out, stats: dp.SubtreeStats, args):
         return
     digits = args.decimals or DECIMALS
     means = [("mu", stats.mu), ("density", stats.density), ("mu_prime", stats.mu_prime)]
-    print(f"n={stats.n}", f"subtrees={stats.subtree_count}", f"order_sum={stats.order_sum}",
+    print(f"n={stats.n}", f"subtrees={_int_text(stats.subtree_count)}",
+          f"order_sum={_int_text(stats.order_sum)}",
           *(f"{name}={format_ratio(v)} ({to_decimal(v, digits)})"
             for name, v in means if v is not None), sep="\n", file=out)
 
@@ -317,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact counts of large trees exceed 4300 digits
     args = build_parser().parse_args(argv)
     if getattr(args, "format", None) == "json" and getattr(args, "decimals", None):
         args.parser.error("--decimals is not read with --format json")

@@ -233,19 +233,15 @@ def edge_counts(tree: Tree, edge: Tuple[int, int]) -> Tuple[int, int]:
     return alpha_e, sum(down_count) - alpha_e
 
 
-def good_anchor(tree: Tree, containment: Optional[Sequence[int]] = None,
-                total: Optional[int] = None) -> Optional[int]:
+def good_anchor(tree: Tree, containment: Sequence[int], total: int) -> Optional[int]:
     """Smallest internal vertex v with 2*alpha(T,v) >= n*alpha_bar(T,v), if any.
 
     Any returned vertex satisfies |mu(T) - lambda(T,v)| < 2.  No edge scan
     is needed: every subtree containing an edge e contains its endpoint w,
     so alpha(T,w) >= alpha(T,e) and alpha_bar(T,w) <= alpha_bar(T,e), and an
     edge with 2*alpha(T,e) >= n*alpha_bar(T,e) makes each internal endpoint
-    pass the vertex test.  `containment` and `total` (N(T)) come from `global_stats` if absent.
+    pass the vertex test.  `containment` and `total` are alpha and N(T) from `global_stats`.
     """
-    if containment is None:
-        stats = global_stats(tree)
-        containment, total = stats.containment, stats.subtree_count
     n = tree.n
     for v in range(n):
         if tree.degree(v) >= 2 and 2 * containment[v] >= n * (total - containment[v]):

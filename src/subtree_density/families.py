@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List
 
 from .dp import global_stats
-from .rationals import ratio_json, to_decimal
+from .rationals import _int_text, ratio_json, to_decimal
 from .tree import Tree, TreeError, classify_vertices, diameter
 
 SWEEP_CAP = 5000
@@ -184,7 +184,7 @@ def write_sweep_csv(points: List[DensitySequencePoint], fh, digits: int):
     for p in points:
         writer.writerow([
             p.param_value, p.n, p.leaves, p.twigs, p.diameter,
-            p.density.numerator, p.density.denominator,
+            _int_text(p.density.numerator), _int_text(p.density.denominator),
             to_decimal(p.density, digits),
             to_decimal(Fraction(p.leaves, p.n), digits),
             to_decimal(Fraction(p.twigs, p.n), digits),

@@ -1,4 +1,4 @@
-"""Rendering helpers for exact rationals (no floating point in results)."""
+"""Exact rationals and counts as text; `_int_text` is the one way a count becomes digits."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ def to_decimal(value: Fraction, digits: int) -> str:
 
 
 def _int_text(value: int) -> str:
-    """str(value), also past the interpreter's int-to-str digit limit, which stays as set."""
+    """str(value) at any digit count. The int-to-str digit limit stays as set, guarding parsing."""
     try:
         return str(value)
     except ValueError:  # Decimal(int) is exact, not bound by that limit, and prints the same digits
@@ -28,5 +28,5 @@ def ratio_json(value: Fraction) -> dict:
 
 def format_ratio(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"

@@ -88,6 +88,11 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+def _quoted(text: str) -> str:
+    """repr(text), or of its first 40 characters and its length when it is longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40] + '…'!r} ({len(text)} characters)"
+
+
 def _parse_block(lines) -> Tree:
     n = None
     edges = []
@@ -99,14 +104,14 @@ def _parse_block(lines) -> Tree:
             try:
                 n = int(fields[0])
             except ValueError:
-                raise ParseError(f"invalid vertex count {fields[0]!r}", lineno) from None
+                raise ParseError(f"invalid vertex count {_quoted(fields[0])}", lineno) from None
             continue
         if len(fields) != 2:
-            raise ParseError(f"expected an edge 'u v', got {line!r}", lineno)
+            raise ParseError(f"expected an edge 'u v', got {_quoted(line)}", lineno)
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseError(f"non-integer edge endpoint in {line!r}", lineno) from None
+            raise ParseError(f"non-integer edge endpoint in {_quoted(line)}", lineno) from None
         edges.append((u, v))
     if n is None:
         raise ParseError("empty input: missing vertex count")

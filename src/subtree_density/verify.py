@@ -40,7 +40,7 @@ from typing import Iterable, List, Optional, Sequence
 from .dp import good_anchor, vertex_sums
 from .dp import vertex_view  # noqa: F401  perfbench/test_perfbench.py reads verify.vertex_view
 from .enumeration import canonical_form
-from .rationals import format_ratio
+from .rationals import _int_text, format_ratio
 from .ranks import rank_bound_numerators
 from .tree import Tree, classify_vertices, is_series_reduced
 
@@ -132,8 +132,8 @@ def _check_c1(ctx, out):
     alpha, _, total = ctx.sums
     for v in range(ctx.tree.n):
         if ctx.tree.degree(v) == 1 and not 2 * alpha[v] < total:
-            out.violations.append(_witness(ctx, vertex=v, alpha=str(alpha[v]),
-                                           subtree_count=str(total)))
+            out.violations.append(_witness(ctx, vertex=v, alpha=_int_text(alpha[v]),
+                                           subtree_count=_int_text(total)))
 
 
 def _check_c2(ctx, out):
@@ -171,8 +171,8 @@ def _check_c7(ctx, out):
     alpha, _, total = ctx.sums
     for v in ctx.internal:
         if 2 * alpha[v] < total:
-            out.violations.append(_witness(ctx, vertex=v, alpha=str(alpha[v]),
-                                           subtree_count=str(total)))
+            out.violations.append(_witness(ctx, vertex=v, alpha=_int_text(alpha[v]),
+                                           subtree_count=_int_text(total)))
         elif 2 * alpha[v] == total:
             out.equality_cases.append(_witness(ctx, vertex=v))
 
@@ -183,8 +183,8 @@ def _check_c8(ctx, out):
     floor = ctx.tree.n - leaf_count - 1 + 2 ** leaf_count
     for v in ctx.internal:
         if alpha[v] < floor:
-            out.violations.append(_witness(ctx, vertex=v, alpha=str(alpha[v]),
-                                           floor=str(floor)))
+            out.violations.append(_witness(ctx, vertex=v, alpha=_int_text(alpha[v]),
+                                           floor=_int_text(floor)))
         elif alpha[v] == floor:
             out.equality_cases.append(_witness(ctx, vertex=v))
 

@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import re
@@ -7,7 +8,11 @@ import sys
 
 import pytest
 
+from subtree_density import families
 from subtree_density.cli import main
+from subtree_density.tree import serialize
+
+from test_tree import NEEDS_DIGIT_LIMIT
 
 
 @pytest.fixture
@@ -344,7 +349,42 @@ def test_counts_beyond_int_digit_limit(capsys, tmp_path):
                "--out", str(tree))[0] == 0
     code, out, _ = run(capsys, "stats", "--tree", str(tree))
     assert code == 0
-    assert out.splitlines()[1] == "subtrees=" + str(2 ** 15000 + 15000)
+    # Decimal(int) is exact and prints every digit under the default digit limit
+    assert out.splitlines()[1] == "subtrees=" + str(decimal.Decimal(2 ** 15000 + 15000))
+
+
+@pytest.fixture(scope="module")
+def star15000_file(tmp_path_factory):
+    f = tmp_path_factory.mktemp("star") / "star15000.tree"
+    f.write_text(serialize(families.star(15000)))
+    return str(f)
+
+
+@NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize("argv", [
+    ("stats", "--format", "json"),
+    ("stats",),
+    ("cseq", "--count", "302"),
+], ids=["stats-json", "stats-text", "cseq"])
+def test_main_leaves_int_digit_limit_as_found(capsys, star15000_file, argv):
+    # N(star(15000)) has 4,516 digits; c_j's denominators pass the default
+    # limit of 4,300 digits at j = 174 and reach 13,195 at j = 301
+    if argv[0] == "stats":
+        argv += ("--tree", star15000_file)
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, *argv)[0] == 0
+    assert sys.get_int_max_str_digits() == limit
+
+
+@NEEDS_DIGIT_LIMIT
+def test_huge_vertex_count_is_a_parse_error(capsys, tmp_path):
+    # int() refuses 5,000 digits under the digit limit; with the limit lifted
+    # the count parsed, and the tree failed on its edge count instead
+    f = tmp_path / "huge.tree"
+    f.write_text("1" * 5000 + "\n")
+    code, out, err = run(capsys, "stats", "--tree", str(f))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: invalid vertex count '111") and len(err) < 200
 
 
 @pytest.mark.parametrize("params, message", [

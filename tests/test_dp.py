@@ -307,11 +307,15 @@ class TestContainmentRuns:
     def test_json_beyond_int_digit_limit(self):
         # the centre's 2**15000 has 4,516 digits, past the default limit of 4,300
         stats = global_stats(star(15000))
-        sys.set_int_max_str_digits(0)
-        lifted = stats.to_json_dict()
-        sys.set_int_max_str_digits(4300)
-        assert stats.to_json_dict() == lifted
-        assert sys.get_int_max_str_digits() == 4300
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            lifted = stats.to_json_dict()
+            sys.set_int_max_str_digits(4300)
+            assert stats.to_json_dict() == lifted
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestEdgeCounts:
@@ -353,30 +357,34 @@ def _anchor_with_edge_scan(t):
     return None
 
 
+def _good_anchor(t):
+    s = global_stats(t)
+    return good_anchor(t, s.containment, s.subtree_count)
+
+
 class TestGoodAnchor:
     def test_k13(self):
-        assert good_anchor(K13) == 0  # 2*8 >= 4*3
+        assert _good_anchor(K13) == 0  # 2*8 >= 4*3
 
     def test_p4_none(self):
-        assert good_anchor(P4) is None
+        assert _good_anchor(P4) is None
 
     def test_matches_edge_scan_exhaustive(self):
         from subtree_density.enumeration import enumerate_trees
         for n in range(1, 13):
             for t in enumerate_trees(n):
-                assert good_anchor(t) == _anchor_with_edge_scan(t)
+                assert _good_anchor(t) == _anchor_with_edge_scan(t)
 
     @given(random_trees(40))
     @settings(max_examples=100, deadline=None)
     def test_matches_edge_scan(self, t):
-        assert good_anchor(t) == _anchor_with_edge_scan(t)
+        assert _good_anchor(t) == _anchor_with_edge_scan(t)
 
     def test_anchor_accuracy(self):
         # wherever an anchor exists, |mu - lambda| < 2
         from subtree_density.enumeration import enumerate_trees
         for n in range(2, 10):
             for t in enumerate_trees(n):
-                v = good_anchor(t)
+                v = _good_anchor(t)
                 if v is not None:
-                    s = global_stats(t)
-                    assert abs(s.mu - vertex_view(t, v).lam) < 2
+                    assert abs(global_stats(t).mu - vertex_view(t, v).lam) < 2

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,11 @@ from subtree_density.tree import (
     parse_trees,
     serialize,
 )
+
+
+# CPython 3.10.7 and later refuse to parse more than 4,300 digits by default
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no int-to-str digit limit")
 
 
 def path(n):
@@ -80,6 +87,24 @@ class TestConstruction:
     def test_parse_error_has_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_tree("3\n0 x\n1 2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("12x\n", "line 1: invalid vertex count '12x'"),
+        ("3\n0 1 2\n", "line 2: expected an edge 'u v', got '0 1 2'"),
+        ("3\n0 x\n", "line 2: non-integer edge endpoint in '0 x'"),
+        pytest.param("9" * 400_000, "line 1: invalid vertex count '" + "9" * 40
+                     + "…' (400000 characters)", marks=NEEDS_DIGIT_LIMIT),
+        ("3\n0 1\n" + "1 " * 50_000, "line 3: expected an edge 'u v', got '" + "1 " * 20
+         + "…' (99999 characters)"),
+        ("3\n0 1\n1 " + "x" * 9_000, "line 3: non-integer edge endpoint in '1 " + "x" * 38
+         + "…' (9002 characters)"),
+    ], ids=["count", "edge", "endpoint", "long-count", "long-edge", "long-endpoint"])
+    def test_parse_error_quotes_a_bounded_prefix(self, text, message):
+        # a short token or line is quoted whole; a long one by its first 40
+        # characters and its length, so a 400,000-digit line gives a short message
+        with pytest.raises(ParseError) as exc:
+            parse_tree(text)
+        assert str(exc.value) == message and len(message) < 200
 
     def test_roundtrip(self):
         t = Tree(5, [(3, 4), (0, 1), (1, 2), (2, 3)])

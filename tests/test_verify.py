@@ -1,3 +1,4 @@
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -101,6 +102,23 @@ class TestRunChecks:
         report = run_checks([path(3)], ["C1"])
         out = outcome(report, "C1")
         assert out.trees_examined == 1 and out.trees_applicable == 0
+
+    def test_count_witnesses_beyond_int_digit_limit(self, monkeypatch):
+        # N(star(15000)) and the C8 floor 2**15000 have 4,516 digits, past the
+        # default int-to-str limit; doctored sums make leaf 1 a C1 witness and
+        # the centre a C7 and a C8 one
+        t = star(15000)
+        alpha, sigma, total = vertex_sums(t)
+        doctored = ([1, total] + alpha[2:], sigma, total)
+        monkeypatch.setattr(verify, "vertex_sums", lambda tree: doctored)
+        report = run_checks([t], ["C1", "C7", "C8"])
+        count = str(decimal.Decimal(total))  # Decimal(int) is exact and not bound by the limit
+        expected = {"C1": {"vertex": 1, "alpha": count, "subtree_count": count},
+                    "C7": {"vertex": 0, "alpha": "1", "subtree_count": count},
+                    "C8": {"vertex": 0, "alpha": "1", "floor": str(decimal.Decimal(2 ** 15000))}}
+        for check, fields in expected.items():
+            (witness,) = outcome(report, check).violations
+            assert {k: witness[k] for k in fields} == fields
 
     def test_report_determinism(self):
         def go():
