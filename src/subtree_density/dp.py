@@ -195,14 +195,15 @@ def global_stats(tree: Tree) -> SubtreeStats:
     """All global subtree aggregates of one tree, as exact values."""
     parent, order, down_count, _ = _down_pass(tree, 0, sums=False)
     alpha, _ = _top_down(parent, order, down_count)
-    # each subtree is counted once, at its vertex nearest the root
-    return SubtreeStats.from_totals(tree, sum(down_count), alpha)
+    # each subtree is counted once, at its vertex nearest the root; short counts summed first
+    return SubtreeStats.from_totals(tree, sum(map(down_count.__getitem__, reversed(order))), alpha)
 
 
 def vertex_sums(tree: Tree) -> Tuple[List[int], List[int], int]:
     """(alpha, sigma, N(T)): ints from one O(n) pass; lambda(T, v) = sigma[v] / alpha[v]."""
     parent, order, down_count, down_sum = _down_pass(tree, 0)
-    return (*_top_down(parent, order, down_count, down_sum), sum(down_count))
+    total = sum(map(down_count.__getitem__, reversed(order)))  # root last, as in `global_stats`
+    return (*_top_down(parent, order, down_count, down_sum), total)
 
 
 def vertex_view(tree: Tree, v: int) -> VertexSubtreeView:
@@ -243,7 +244,7 @@ def good_anchor(tree: Tree, containment: Sequence[int], total: int) -> Optional[
     pass the vertex test.  `containment` and `total` are alpha and N(T) from `global_stats`.
     """
     n = tree.n
-    for v in range(n):
-        if tree.degree(v) >= 2 and 2 * containment[v] >= n * (total - containment[v]):
+    for v, a in enumerate(tree.adj):
+        if len(a) >= 2 and 2 * containment[v] >= n * (total - containment[v]):
             return v
     return None

@@ -7,8 +7,8 @@ two n/2-vertex rooted trees joined at the central edge (Otter 1948).
 
 from __future__ import annotations
 
-import heapq
 import random
+from itertools import repeat
 from typing import Iterator, List, Sequence, Tuple
 
 from .tree import Tree, TreeError, _sweeps, is_series_reduced, orient
@@ -147,31 +147,34 @@ def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
 
 
 def _prufer_neighbours(seq: Sequence[int], n: int) -> List[List[int]]:
-    """Neighbour lists of the labeled tree on n >= 2 vertices with Pruefer sequence `seq`."""
+    """Neighbour lists of the labeled tree on n >= 2 vertices with Pruefer sequence `seq`.
+
+    Linear: `ptr` only moves up; an x that turns into a leaf below it is the smallest leaf."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
     adj = [[] for _ in range(n)]
+    leaf = ptr = degree.index(1)
     for x in seq:
-        leaf = heapq.heappop(leaves)
         adj[leaf].append(x)
         adj[x].append(leaf)
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    a, b = heapq.heappop(leaves), heapq.heappop(leaves)
-    adj[a].append(b)
-    adj[b].append(a)
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    adj[leaf].append(n - 1)
+    adj[n - 1].append(leaf)
     return adj
 
 
 def _suppressed(adj: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, int]]]:
     """(vertex count, edges) of the tree `adj` with its degree-2 vertices spliced out."""
     kept = [v for v, a in enumerate(adj) if len(a) != 2]
-    index = {v: i for i, v in enumerate(kept)}
-    edges = set()
+    index = [0] * len(adj)
+    for i, v in enumerate(kept):
+        index[v] = i
+    edges = []  # each chain once, from its smaller end; `Tree` sorts them
     for u in kept:
         for w in adj[u]:
             prev, cur = u, w
@@ -179,8 +182,17 @@ def _suppressed(adj: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, int]
                 a, b = adj[cur]
                 prev, cur = cur, (b if a == prev else a)
             if u < cur:
-                edges.add((index[u], index[cur]))
-    return len(kept), sorted(edges)
+                edges.append((index[u], index[cur]))
+    return len(kept), edges
+
+
+def _draws(rng: random.Random, size: int, count: int) -> List[int]:
+    """`count` values of rng.randrange(size), leaving rng as those calls would: randrange
+    redraws getrandbits(k) until below size, and each round draws just the count still missing."""
+    bits, k, out = rng.getrandbits, size.bit_length(), []
+    while len(out) < count:
+        out += [r for r in map(bits, repeat(k, count - len(out))) if r < size]
+    return out
 
 
 def prufer_to_tree(seq: List[int], n: int) -> Tree:
@@ -213,14 +225,14 @@ def sample_series_reduced(n_target: int, seed: int) -> Tree:
     Draws uniform labeled trees on n_target + slack vertices and suppresses
     degree-2 vertices; grows the slack until the reduction is large enough.
     Each draw stays a neighbour list: only the reduced candidate is a `Tree`.
+    The Pruefer entries are the values `rng.randrange(size)` would give.
     """
     if n_target < 4:
         raise TreeError("sample_series_reduced requires n_target >= 4")
     rng = random.Random(seed)
     size = max(n_target + 4, (n_target * 5) // 3)
     for _ in range(SAMPLE_RETRIES):
-        seq = [rng.randrange(size) for _ in range(size - 2)]
-        candidate = Tree(*_suppressed(_prufer_neighbours(seq, size)))
+        candidate = Tree(*_suppressed(_prufer_neighbours(_draws(rng, size, size - 2), size)))
         if candidate.n >= n_target and is_series_reduced(candidate):
             return candidate
         size += max(1, size // 10)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 BLOCK_SEPARATOR = "---"
@@ -35,19 +37,12 @@ class Tree:
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
             raise TreeError("vertex count must be a positive integer")
-        norm = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise TreeError(f"edge endpoint out of range [0, {n}): ({u}, {v})")
-            if u == v:
-                raise TreeError(f"self-loop at vertex {u}")
-            norm.append((u, v) if u < v else (v, u))
-        norm.sort()
-        for a, b in zip(norm, norm[1:]):
-            if a == b:
-                raise TreeError(f"duplicate edge {a}")
-        if len(norm) != n - 1:
-            raise TreeError(f"edge count {len(norm)} != n-1 = {n - 1}")
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # `_diagnose` reads them again
+        norm = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+        # n-1 edges within range that reach all n vertices hold no self-loop or repeat
+        if len(norm) != n - 1 or norm and (norm[0][0] < 0 or max(map(itemgetter(1), norm)) >= n):
+            _diagnose(n, edges, norm)
         adj = [[] for _ in range(n)]
         for u, v in norm:  # sorted (u, v) with u < v keeps every list ascending
             adj[u].append(v)
@@ -57,7 +52,7 @@ class Tree:
         self.adj = tuple(tuple(a) for a in adj)
         parent, order = orient(self.adj, 0)
         if len(order) != n:
-            raise TreeError("graph is not connected")
+            _diagnose(n, edges, norm)
         self.parent, self.order = tuple(parent), tuple(order)
 
     def degree(self, v: int) -> int:
@@ -73,6 +68,29 @@ class Tree:
         return f"Tree(n={self.n}, edges={list(self.edges)})"
 
 
+def _shown(x) -> str:
+    """str(x), cut to 40 characters and its length; `Decimal` prints ints past the digit limit."""
+    text = str(Decimal(x)) if isinstance(x, int) and not -10 ** 39 < x < 10 ** 40 else str(x)
+    return text if len(text) <= 40 else f"{text[:40]}… ({len(text)} characters)"
+
+
+def _diagnose(n: int, edges, norm) -> None:
+    """Raise the first fault: an edge's range, then its self-loop, in input order; a
+    repeat in the sorted `norm`; the edge count; connectivity."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise TreeError(f"edge endpoint out of range [0, {_shown(n)}): "
+                            f"({_shown(u)}, {_shown(v)})")
+        if u == v:
+            raise TreeError(f"self-loop at vertex {_shown(u)}")
+    for a, b in zip(norm, norm[1:]):
+        if a == b:
+            raise TreeError(f"duplicate edge ({_shown(a[0])}, {_shown(a[1])})")
+    if len(norm) != n - 1:
+        raise TreeError(f"edge count {len(norm)} != n-1 = {_shown(n - 1)}")
+    raise TreeError("graph is not connected")
+
+
 @dataclass(frozen=True)
 class VertexClassification:
     leaves: frozenset
@@ -80,12 +98,12 @@ class VertexClassification:
     twigs: frozenset
 
 
-def _content_lines(text: str):
+def _content_lines(text: str) -> List[Tuple[int, str]]:
     """(line number, content) of each line that is not blank once its comment is cut."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return [(lineno, line) for lineno, raw in enumerate(lines, start=1) if (line := raw.strip())]
 
 
 def _quoted(text: str) -> str:
@@ -93,29 +111,30 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40] + '…'!r} ({len(text)} characters)"
 
 
-def _parse_block(lines) -> Tree:
-    n = None
-    edges = []
-    for lineno, line in lines:
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise ParseError("expected a single vertex count", lineno)
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise ParseError(f"invalid vertex count {_quoted(fields[0])}", lineno) from None
-            continue
-        if len(fields) != 2:
-            raise ParseError(f"expected an edge 'u v', got {_quoted(line)}", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"non-integer edge endpoint in {_quoted(line)}", lineno) from None
-        edges.append((u, v))
-    if n is None:
+def _parse_block(lines: List[Tuple[int, str]]) -> Tuple[int, List[Tuple[int, int]]]:
+    """(n, edges) of one tree's content lines; the caller's `Tree` runs once they are freed."""
+    if not lines:
         raise ParseError("empty input: missing vertex count")
-    return Tree(n, edges)
+    lineno, fields = lines[0][0], lines[0][1].split()
+    if len(fields) != 1:
+        raise ParseError("expected a single vertex count", lineno)
+    try:
+        n = int(fields[0])
+    except ValueError:
+        raise ParseError(f"invalid vertex count {_quoted(fields[0])}", lineno) from None
+    try:
+        edges = [(int(u), int(v)) for u, v in map(str.split, map(itemgetter(1), lines[1:]))]
+    except ValueError:  # read again, to name the first bad line
+        for lineno, line in lines[1:]:
+            fields = line.split()
+            if len(fields) != 2:
+                raise ParseError(f"expected an edge 'u v', got {_quoted(line)}", lineno) from None
+            try:
+                int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(f"non-integer edge endpoint in {_quoted(line)}", lineno) from None
+        raise
+    return n, edges
 
 
 def parse_tree(text: str) -> Tree:
@@ -123,7 +142,7 @@ def parse_tree(text: str) -> Tree:
 
     '#' starts a comment; blank lines are ignored.
     """
-    return _parse_block(_content_lines(text))
+    return Tree(*_parse_block(_content_lines(text)))
 
 
 def parse_trees(text: str) -> List[Tree]:
@@ -138,7 +157,7 @@ def parse_trees(text: str) -> List[Tree]:
             blocks.append([])
         else:
             blocks[-1].append((lineno, line))
-    trees = [_parse_block(b) for b in blocks if b]
+    trees = [Tree(*_parse_block(b)) for b in blocks if b]
     if not trees:
         raise ParseError("empty input: no tree")
     return trees
@@ -188,9 +207,7 @@ def classify_vertices(tree: Tree) -> VertexClassification:
 
 def is_series_reduced(tree: Tree) -> bool:
     """True iff the tree has an internal vertex and all internal degrees are >= 3."""
-    if tree.n < 3:
-        return False
-    return all(tree.degree(v) != 2 for v in range(tree.n))
+    return tree.n >= 3 and 2 not in map(len, tree.adj)
 
 
 def _sweeps(adj: Sequence[Sequence[int]], start: int) -> List[List[int]]:

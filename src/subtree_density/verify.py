@@ -66,7 +66,7 @@ class _TreeContext:
 
     @cached_property
     def internal(self):
-        return [v for v in range(self.tree.n) if self.tree.degree(v) >= 2]
+        return [v for v, a in enumerate(self.tree.adj) if len(a) >= 2]
 
     @cached_property
     def sums(self):
@@ -130,8 +130,8 @@ def _witness(ctx: _TreeContext, **values) -> dict:
 
 def _check_c1(ctx, out):
     alpha, _, total = ctx.sums
-    for v in range(ctx.tree.n):
-        if ctx.tree.degree(v) == 1 and not 2 * alpha[v] < total:
+    for v, a in enumerate(ctx.tree.adj):
+        if len(a) == 1 and not 2 * alpha[v] < total:
             out.violations.append(_witness(ctx, vertex=v, alpha=_int_text(alpha[v]),
                                            subtree_count=_int_text(total)))
 

@@ -387,6 +387,15 @@ def test_huge_vertex_count_is_a_parse_error(capsys, tmp_path):
     assert err.startswith("error: line 1: invalid vertex count '111") and len(err) < 200
 
 
+def test_long_vertex_count_gives_a_short_error(capsys, tmp_path):
+    # 4,000 digits parse under the digit limit; the edge-count error quotes 40
+    f = tmp_path / "long.tree"
+    f.write_text("1" * 4000 + "\n")
+    code, out, err = run(capsys, "stats", "--tree", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: edge count 0 != n-1 = " + "1" * 40 + "… (4000 characters)\n"
+
+
 @pytest.mark.parametrize("params, message", [
     ("k=x,r=2", "parameter 'k' needs an integer, got 'x'"),
     ("k,r=2", "bad parameter 'k', expected name=value"),

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -7,7 +8,9 @@ from subtree_density import enumeration
 from subtree_density.enumeration import (
     ENUM_CAP,
     SAMPLE_RETRIES,
+    _draws,
     _free_level_sequences,
+    _prufer_neighbours,
     _representative,
     _rooted_levels,
     canonical_form,
@@ -69,6 +72,27 @@ def counting_series(top):
 def brute_representative(tree):
     """The greatest canonical level sequence over every root of degree < 2."""
     return max(_rooted_levels(tree.adj, v) for v in range(tree.n) if tree.degree(v) < 2)
+
+
+def reference_prufer_neighbours(seq, n):
+    """Heap decode: join each entry to the smallest leaf, then the last two leaves."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    adj = [[] for _ in range(n)]
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        adj[leaf].append(x)
+        adj[x].append(leaf)
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    a, b = heapq.heappop(leaves), heapq.heappop(leaves)
+    adj[a].append(b)
+    adj[b].append(a)
+    return adj
 
 
 def relabel(tree, perm):
@@ -267,6 +291,26 @@ class TestSampling:
         # sequence (3, 3) on 4 vertices is the star centered at 3
         t = prufer_to_tree([3, 3], 4)
         assert t == Tree(4, [(0, 3), (1, 3), (2, 3)])
+
+    def test_prufer_decode_matches_heap_reference(self):
+        # the same (leaf, entry) pairs in the same order give equal neighbour lists
+        for n in range(2, 8):
+            for seq in itertools.product(range(n), repeat=n - 2):
+                assert _prufer_neighbours(seq, n) == reference_prufer_neighbours(seq, n)
+        rng = random.Random(11)
+        for n in (8, 9, 30, 301, 3000):
+            for alphabet in (n, max(1, n // 10), 2):  # uniform, then few repeated entries
+                seq = [rng.randrange(alphabet) for _ in range(n - 2)]
+                assert _prufer_neighbours(seq, n) == reference_prufer_neighbours(seq, n)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 255, 256, 257, 1023, 1024, 1025])
+    def test_draws_match_randrange(self, size):
+        # 257 and 1025 reject almost half of their getrandbits draws
+        for seed in range(3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for count in (0, 1, 2, size, 3 * size):
+                assert _draws(ours, size, count) == [theirs.randrange(size) for _ in range(count)]
+                assert ours.getstate() == theirs.getstate()
 
     def test_random_labeled_tree_valid(self):
         rng = random.Random(1)

@@ -119,6 +119,93 @@ class TestConstruction:
         assert all(list(a) == sorted(a) for a in t.adj)
 
 
+def ordered_tree_checks(n, edges):
+    """`Tree.__init__`'s checks one at a time, in the order that decides which
+    fault a message names: the oracle for its fast path and `_diagnose`."""
+    if not isinstance(n, int) or n < 1:
+        raise TreeError("vertex count must be a positive integer")
+    norm = []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise TreeError(f"edge endpoint out of range [0, {n}): ({u}, {v})")
+        if u == v:
+            raise TreeError(f"self-loop at vertex {u}")
+        norm.append((u, v) if u < v else (v, u))
+    norm.sort()
+    for a, b in zip(norm, norm[1:]):
+        if a == b:
+            raise TreeError(f"duplicate edge {a}")
+    if len(norm) != n - 1:
+        raise TreeError(f"edge count {len(norm)} != n-1 = {n - 1}")
+    adj = [[] for _ in range(n)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    if len(orient(adj, 0)[1]) != n:
+        raise TreeError("graph is not connected")
+    return tuple(norm)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): pairs at random, or a tree's edges shuffled and flipped with
+    at most one fault: an endpoint out of range, a self-loop, a repeat, a
+    missing edge, an edge moved, or a chord that leaves a new vertex apart."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 6))
+        pair = st.tuples(st.integers(-1, n), st.integers(-1, n))
+        return n, draw(st.lists(pair, max_size=n + 1))
+    t = draw(random_trees(8))
+    n, edges = t.n, [e if draw(st.booleans()) else e[::-1] for e in draw(st.permutations(t.edges))]
+    fault = draw(st.sampled_from(["none", "range", "loop", "repeat", "drop", "move", "chord"]))
+    if n > 2 and fault != "none":
+        i, u = draw(st.integers(0, n - 2)), edges[0][0]
+        if fault == "range":
+            edges[i] = (u, draw(st.sampled_from([-1, n])))
+        elif fault == "loop":
+            edges[i] = (u, u)
+        elif fault == "repeat":
+            edges.append(edges[i])
+        elif fault == "drop":
+            del edges[i]
+        elif fault == "move":
+            edges[i] = (u, draw(st.integers(0, n - 1).filter(lambda v: v != u)))
+        else:
+            edges.insert(i, draw(st.sampled_from(
+                [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in t.edges])))
+            n += 1
+    return n, edges
+
+
+@given(edge_lists(), st.booleans())
+@settings(max_examples=250, deadline=None)
+def test_tree_matches_ordered_checks(case, as_iterator):
+    # the fast path and `_diagnose` give the same tree or the same first fault
+    n, edges = case
+
+    def outcome(build):
+        try:
+            return build()
+        except TreeError as exc:
+            return str(exc)
+    built = outcome(lambda: Tree(n, iter(edges) if as_iterator else edges).edges)
+    assert built == outcome(lambda: ordered_tree_checks(n, edges))
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (10 ** 5000, [], "edge count 0 != n-1 = " + "9" * 40 + "… (5000 characters)"),
+    (int("1" * 4000), [], "edge count 0 != n-1 = " + "1" * 40 + "… (4000 characters)"),
+    (3, [(0, 1), (1, -10 ** 5000)], "edge endpoint out of range [0, 3): (1, -1"
+     + "0" * 38 + "… (5002 characters))"),
+], ids=["past-digit-limit", "under-digit-limit", "endpoint"])
+def test_tree_error_quotes_a_bounded_prefix(n, edges, message):
+    # a number of over 40 characters is cut to them and its length, and one
+    # past the int-to-str digit limit still gives a TreeError
+    with pytest.raises(TreeError) as exc:
+        Tree(n, edges)
+    assert str(exc.value) == message
+
+
 # arbitrary text, and text over the characters the format uses
 TREE_TEXT = st.one_of(st.text(), st.text(alphabet="0123456789 -#\nx", max_size=60))
 
