@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout, as `| head` does: end quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
         return 0
-    except (TreeError, ValueError, OSError) as exc:
+    except (TreeError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ import random
 from itertools import repeat
 from typing import Iterator, List, Sequence, Tuple
 
-from .tree import Tree, TreeError, _sweeps, is_series_reduced, orient
+from .tree import Tree, TreeError, _shown, _sweeps, orient
 
 ENUM_CAP = 18
 SAMPLE_RETRIES = 1000
@@ -125,7 +125,7 @@ def _representative(levels: List[int]) -> List[int]:
 def check_enum_size(n: int) -> None:
     """Raise TreeError unless enumerate_trees accepts n."""
     if not 1 <= n <= ENUM_CAP:
-        raise TreeError(f"enumeration requires 1 <= n <= {ENUM_CAP}, got {n}")
+        raise TreeError(f"enumeration requires 1 <= n <= {ENUM_CAP}, got {_shown(n)}")
 
 
 def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
@@ -169,7 +169,12 @@ def _prufer_neighbours(seq: Sequence[int], n: int) -> List[List[int]]:
 
 
 def _suppressed(adj: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, int]]]:
-    """(vertex count, edges) of the tree `adj` with its degree-2 vertices spliced out."""
+    """(vertex count, edges) of the tree `adj` with its degree-2 vertices spliced out.
+
+    Vertices of degree != 2 are kept and relabeled 0..k-1 in original
+    label order; each maximal chain of degree-2 vertices becomes one edge.
+    Every tree keeps at least one vertex: a leaf, or its single vertex.
+    """
     kept = [v for v, a in enumerate(adj) if len(a) != 2]
     index = [0] * len(adj)
     for i, v in enumerate(kept):
@@ -195,30 +200,6 @@ def _draws(rng: random.Random, size: int, count: int) -> List[int]:
     return out
 
 
-def prufer_to_tree(seq: List[int], n: int) -> Tree:
-    """Labeled tree on n >= 2 vertices from a Pruefer sequence of length n-2."""
-    adj = _prufer_neighbours(seq, n)
-    return Tree(n, [(u, w) for u, a in enumerate(adj) for w in a if u < w])
-
-
-def random_labeled_tree(n: int, rng: random.Random) -> Tree:
-    """Uniform random labeled tree via a random Pruefer sequence."""
-    if n == 1:
-        return Tree(1, [])
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return prufer_to_tree(seq, n)
-
-
-def suppress_degree_two(tree: Tree) -> Tree:
-    """Homeomorphic reduction: splice out every degree-2 vertex.
-
-    Vertices of degree != 2 are kept and relabeled 0..k-1 in original
-    label order; each maximal chain of degree-2 vertices becomes one edge.
-    Every tree keeps at least one vertex: a leaf, or its single vertex.
-    """
-    return Tree(*_suppressed(tree.adj))
-
-
 def sample_series_reduced(n_target: int, seed: int) -> Tree:
     """Deterministic random series-reduced tree with at least n_target vertices.
 
@@ -233,7 +214,7 @@ def sample_series_reduced(n_target: int, seed: int) -> Tree:
     size = max(n_target + 4, (n_target * 5) // 3)
     for _ in range(SAMPLE_RETRIES):
         candidate = Tree(*_suppressed(_prufer_neighbours(_draws(rng, size, size - 2), size)))
-        if candidate.n >= n_target and is_series_reduced(candidate):
+        if candidate.n >= n_target:  # kept vertices keep their degrees, none of them 2
             return candidate
         size += max(1, size // 10)
     raise TreeError(f"failed to sample a series-reduced tree after {SAMPLE_RETRIES} retries")

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
+
+from .rationals import _int_text
 
 BLOCK_SEPARATOR = "---"
 
@@ -69,8 +70,8 @@ class Tree:
 
 
 def _shown(x) -> str:
-    """str(x), cut to 40 characters and its length; `Decimal` prints ints past the digit limit."""
-    text = str(Decimal(x)) if isinstance(x, int) and not -10 ** 39 < x < 10 ** 40 else str(x)
+    """str(x), cut to 40 characters and its length; ints print at any digit count."""
+    text = _int_text(x) if isinstance(x, int) else str(x)
     return text if len(text) <= 40 else f"{text[:40]}… ({len(text)} characters)"
 
 

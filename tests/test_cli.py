@@ -86,11 +86,33 @@ def test_enumerate_series_reduced(capsys):
     assert out.count("---") == 3  # 1 + 1 + 2 trees
 
 
-@pytest.mark.parametrize("n, bad", [("17..19", 19), ("0..2", 0)])
+@pytest.mark.parametrize("n, bad", [
+    ("17..19", 19), ("0..2", 0),
+    pytest.param("4.." + "7" * 4000, "7" * 40 + "… (4000 characters)", id="4000-digits"),
+])
 def test_enumerate_range_checked_before_any_tree(capsys, n, bad):
     code, out, err = run(capsys, "enumerate", "--n", n, "--series-reduced")
     assert (code, out) == (1, "")
     assert err == f"error: enumeration requires 1 <= n <= 18, got {bad}\n"
+
+
+# 10**30 overflows a C index at once; an n between about 10**7 and 5.5 * 10**18
+# would instead make the sampler allocate until memory runs out
+HUGE = str(10 ** 30)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", HUGE],
+    ["verify", "--source", "sample", "--n", HUGE, "--count", "1"],
+    ["stats", "--decimals", HUGE],
+    ["oracle", "--decimals", HUGE],
+    ["family", "--family", "star", "--sweep", "m=3..4", "--decimals", HUGE],
+], ids=["sample", "verify-sample", "stats", "oracle", "family-sweep"])
+def test_huge_numeric_argument_is_an_error(capsys, p4_file, argv):
+    if argv[0] in ("stats", "oracle"):
+        argv = argv + ["--tree", p4_file]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_enum_range_checked_before_any_check(capsys, monkeypatch):

@@ -13,19 +13,17 @@ from subtree_density.enumeration import (
     _prufer_neighbours,
     _representative,
     _rooted_levels,
+    _suppressed,
     canonical_form,
     centroids,
     enumerate_trees,
-    prufer_to_tree,
-    random_labeled_tree,
     rooted_level_sequences,
     sample_series_reduced,
-    suppress_degree_two,
     tree_from_level_sequence,
 )
 from subtree_density.tree import Tree, TreeError, is_series_reduced
 
-from test_tree import path, star
+from test_tree import path, prufer_tree, star
 
 # free trees up to isomorphism on 1..14 vertices (OEIS A000055)
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
@@ -93,6 +91,34 @@ def reference_prufer_neighbours(seq, n):
     adj[a].append(b)
     adj[b].append(a)
     return adj
+
+
+def reference_splice(adj):
+    """Replace each degree-2 vertex by an edge between its two neighbours, then
+    number the kept vertices 0..k-1 in their original label order."""
+    nbrs = {v: set(a) for v, a in enumerate(adj)}
+    for v in range(len(adj)):
+        if len(nbrs[v]) == 2:  # splicing v out leaves every other degree as it was
+            a, b = nbrs.pop(v)
+            nbrs[a].remove(v)
+            nbrs[a].add(b)
+            nbrs[b].remove(v)
+            nbrs[b].add(a)
+    number = {v: i for i, v in enumerate(sorted(nbrs))}
+    return Tree(len(number), [(number[u], number[w]) for u in nbrs for w in nbrs[u] if u < w])
+
+
+def reference_sample(n, seed):
+    """sample_series_reduced from its contract: Pruefer entries from randrange,
+    the heap decode, the splice, and a tenth more vertices per retry."""
+    rng = random.Random(seed)
+    size = max(n + 4, (n * 5) // 3)
+    for _ in range(SAMPLE_RETRIES):
+        seq = [rng.randrange(size) for _ in range(size - 2)]
+        candidate = reference_splice(reference_prufer_neighbours(seq, size))
+        if candidate.n >= n and is_series_reduced(candidate):
+            return candidate
+        size += max(1, size // 10)
 
 
 def relabel(tree, perm):
@@ -282,15 +308,14 @@ class TestEnumeration:
         for n in range(3, 9):
             codes = set()
             for seq in itertools.product(range(n), repeat=n - 2):
-                codes.add(canonical_form(prufer_to_tree(list(seq), n)))
+                codes.add(canonical_form(prufer_tree(seq, n)))
             assert len(codes) == FREE_TREE_COUNTS[n - 1]
 
 
 class TestSampling:
     def test_prufer_decode(self):
         # sequence (3, 3) on 4 vertices is the star centered at 3
-        t = prufer_to_tree([3, 3], 4)
-        assert t == Tree(4, [(0, 3), (1, 3), (2, 3)])
+        assert _prufer_neighbours([3, 3], 4) == [[3], [3], [3], [0, 1, 2]]
 
     def test_prufer_decode_matches_heap_reference(self):
         # the same (leaf, entry) pairs in the same order give equal neighbour lists
@@ -312,20 +337,20 @@ class TestSampling:
                 assert _draws(ours, size, count) == [theirs.randrange(size) for _ in range(count)]
                 assert ours.getstate() == theirs.getstate()
 
-    def test_random_labeled_tree_valid(self):
-        rng = random.Random(1)
-        for _ in range(20):
-            t = random_labeled_tree(rng.randrange(1, 40), rng)
-            assert len(t.edges) == t.n - 1
-
     def test_suppress_degree_two(self):
-        # spider with subdivided legs: interior path vertices get spliced out
+        # spider with subdivided legs: interior path vertices get spliced out,
+        # and the kept 0, 2, 3, 6 become 0, 1, 2, 3
         t = Tree(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
-        reduced = suppress_degree_two(t)
-        assert all(reduced.degree(v) != 2 for v in range(reduced.n))
+        assert Tree(*_suppressed(t.adj)) == Tree(4, [(0, 1), (1, 2), (1, 3)])
 
     def test_suppress_path_two_kept(self):
-        assert suppress_degree_two(path(5)) == path(2)
+        assert Tree(*_suppressed(path(5).adj)) == path(2)
+
+    def test_splice_matches_reference(self):
+        for n in range(1, 8):
+            for seq in itertools.product(range(n), repeat=max(0, n - 2)):
+                adj = reference_prufer_neighbours(seq, n) if n > 1 else [[]]
+                assert Tree(*_suppressed(adj)) == reference_splice(adj)
 
     def test_sample_postconditions(self):
         t = sample_series_reduced(30, seed=42)
@@ -339,19 +364,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 10, 30, 40, 120, 300, 400])
     def test_sample_matches_tree_composition(self, n):
-        # the sampler's neighbour-list path against suppress_degree_two over
-        # random_labeled_tree, with the same draws and retry rule
-        def reference(seed):
-            rng = random.Random(seed)
-            size = max(n + 4, (n * 5) // 3)
-            for _ in range(SAMPLE_RETRIES):
-                candidate = suppress_degree_two(random_labeled_tree(size, rng))
-                if candidate.n >= n and is_series_reduced(candidate):
-                    return candidate
-                size += max(1, size // 10)
-
+        # the sampler against a reference that shares none of its code, and
+        # that keeps the series-reduced test the sampler leaves out
         for seed in range(30):
-            assert sample_series_reduced(n, seed) == reference(seed)
+            assert sample_series_reduced(n, seed) == reference_sample(n, seed)
 
     def test_sample_target_guard(self):
         with pytest.raises(TreeError, match="n_target"):

@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subtree_density.enumeration import prufer_to_tree
+from subtree_density.enumeration import _prufer_neighbours
 from subtree_density.tree import (
     ParseError,
     Tree,
@@ -31,6 +31,12 @@ def star(m):
     return Tree(m + 1, [(0, i) for i in range(1, m + 1)])
 
 
+def prufer_tree(seq, n):
+    """The labeled tree on n >= 2 vertices with Pruefer sequence `seq`."""
+    adj = _prufer_neighbours(seq, n)
+    return Tree(n, [(u, w) for u, a in enumerate(adj) for w in a if u < w])
+
+
 def random_trees(max_n=12):
     """Hypothesis strategy: labeled trees from Pruefer sequences."""
     def build(draw):
@@ -38,7 +44,7 @@ def random_trees(max_n=12):
         if n <= 2:
             return path(n)
         seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
-        return prufer_to_tree(seq, n)
+        return prufer_tree(seq, n)
     return st.composite(build)()
 
 
