@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from . import dp, enumeration, families, oracle, ranks, verify
 from .rationals import _int_text, format_ratio, to_decimal
-from .tree import BLOCK_SEPARATOR, Tree, TreeError, parse_trees, serialize
+from .tree import BLOCK_SEPARATOR, Tree, TreeError, _shown, parse_trees, serialize
 
 
 DECIMALS = 12
+DECIMALS_CAP = 10 ** 6  # to_decimal takes tens of ms at this many digits
+Output = Tuple[int, Iterable[str]]  # what a cmd_* returns: exit code, lines for `main` to write
 
 
 class UsageError(Exception):
@@ -99,53 +102,32 @@ def _load_tree(args) -> Tree:
     return trees[0]
 
 
-@contextlib.contextmanager
-def _output(args):
-    """The --out file, opened for writing and closed afterwards, or stdout."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield sys.stdout
-        sys.stdout.flush()  # a reader that closed stdout shows up here, not at exit
-
-
-def _write_stats(out, stats: dp.SubtreeStats, args):
+def _stats_lines(stats: dp.SubtreeStats, args) -> List[str]:
     """`stats` as JSON, or as text with --decimals significant digits."""
     if args.format == "json":
-        print(json.dumps(stats.to_json_dict(), sort_keys=True, indent=2), file=out)
-        return
+        return [json.dumps(stats.to_json_dict(), sort_keys=True, indent=2)]
     digits = args.decimals or DECIMALS
     means = [("mu", stats.mu), ("density", stats.density), ("mu_prime", stats.mu_prime)]
-    print(f"n={stats.n}", f"subtrees={_int_text(stats.subtree_count)}",
-          f"order_sum={_int_text(stats.order_sum)}",
-          *(f"{name}={format_ratio(v)} ({to_decimal(v, digits)})"
-            for name, v in means if v is not None), sep="\n", file=out)
+    return [f"n={stats.n}", f"subtrees={_int_text(stats.subtree_count)}",
+            f"order_sum={_int_text(stats.order_sum)}",
+            *(f"{name}={format_ratio(v)} ({to_decimal(v, digits)})"
+              for name, v in means if v is not None)]
 
 
-def cmd_stats(args) -> int:
-    stats = dp.global_stats(_load_tree(args))
-    with _output(args) as out:
-        _write_stats(out, stats, args)
-    return 0
+def cmd_stats(args) -> Output:
+    return 0, _stats_lines(dp.global_stats(_load_tree(args)), args)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Output:
     if args.dump and (args.format or args.decimals):
         raise UsageError("--format and --decimals are not read with --dump")
     tree = _load_tree(args)
-    with _output(args) as out:
-        if args.dump:
-            for line in oracle.dump_subsets(tree):
-                print(line, file=out)
-            return 0
-        brute = oracle.oracle_stats(tree)
-        _write_stats(out, brute, args)
-        if brute != dp.global_stats(tree):
-            print("MISMATCH: oracle disagrees with the DP computation", file=out)
-            return 1
-        print("agreement=ok", file=out)
-        return 0
+    if args.dump:
+        return 0, oracle.dump_subsets(tree)
+    brute = oracle.oracle_stats(tree)
+    agree = brute == dp.global_stats(tree)
+    verdict = "agreement=ok" if agree else "MISMATCH: oracle disagrees with the DP computation"
+    return (0 if agree else 1), [*_stats_lines(brute, args), verdict]
 
 
 def _family_spec(args):
@@ -159,26 +141,22 @@ def _family_spec(args):
     return spec, sweep
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> Output:
     spec, sweep = _family_spec(args)
-    if not sweep and (args.format or args.decimals):
-        raise UsageError("--format and --decimals are read only with --sweep")
-    with _output(args) as out:
-        if sweep:
-            name, (lo, hi) = sweep
-            points = families.density_sweep(spec, name, range(lo, hi + 1))
-            if args.format == "json":
-                families.write_sweep_json(points, out)
-            else:
-                families.write_sweep_csv(points, out, digits=args.decimals or DECIMALS)
-        else:
-            out.write(serialize(families.make_family(spec)))
-    return 0
+    if not sweep:
+        if args.format or args.decimals:
+            raise UsageError("--format and --decimals are read only with --sweep")
+        return 0, _tree_lines([families.make_family(spec)])
+    name, (lo, hi) = sweep
+    points = families.density_sweep(spec, name, range(lo, hi + 1))
+    if args.format == "json":
+        return 0, [families.sweep_json(points)]
+    return 0, [families.sweep_csv(points, args.decimals or DECIMALS)]
 
 
 def _enumerated(args):
     lo, hi = _parse_range(args.n)
-    for n in (lo, hi):  # before the first tree, so a bad range writes nothing
+    for n in (lo, hi):  # both ends, before the first tree is built
         enumeration.check_enum_size(n)
     return (t for n in range(lo, hi + 1)
             for t in enumeration.enumerate_trees(n, series_reduced=args.series_reduced))
@@ -189,28 +167,25 @@ def _sampled(args):
     return (enumeration.sample_series_reduced(n, args.seed + i) for i in range(args.count))
 
 
-def _write_trees(args, trees) -> int:
-    with _output(args) as out:
-        for i, tree in enumerate(trees):
-            if i:
-                print(BLOCK_SEPARATOR, file=out)
-            out.write(serialize(tree))
-    return 0
+def _tree_lines(trees):
+    """Each tree's text, a BLOCK_SEPARATOR line between two trees; made as it is read."""
+    for i, tree in enumerate(trees):
+        if i:
+            yield BLOCK_SEPARATOR
+        yield serialize(tree).rstrip("\n")  # main ends each line
 
 
-def cmd_enumerate(args) -> int:
-    return _write_trees(args, _enumerated(args))
+def cmd_enumerate(args) -> Output:
+    return 0, _tree_lines(_enumerated(args))
 
 
-def cmd_sample(args) -> int:
-    return _write_trees(args, _sampled(args))
+def cmd_sample(args) -> Output:
+    return 0, _tree_lines(_sampled(args))
 
 
-def cmd_cseq(args) -> int:
-    with _output(args) as out:
-        for j, c in enumerate(ranks.c_sequence(args.count)):
-            print(f"{j} {format_ratio(c)} {to_decimal(c, 15)}", file=out)
-    return 0
+def cmd_cseq(args) -> Output:
+    return 0, (f"{j} {format_ratio(c)} {to_decimal(c, 15)}"
+               for j, c in enumerate(ranks.c_sequence(args.count)))
 
 
 def _verify_trees(args):
@@ -239,7 +214,7 @@ _SOURCE_FLAGS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     unread = [flag for flags in _SOURCE_FLAGS.values() for flag in flags
               if flag not in _SOURCE_FLAGS[args.source] and getattr(args, flag) is not None]
     if unread:
@@ -254,13 +229,11 @@ def cmd_verify(args) -> int:
     config = {"source": args.source, "checks": args.checks,
               **{flag: getattr(args, flag) for flag in defaults}}
     report = verify.run_checks(_verify_trees(args), args.checks, config=config)
-    with _output(args) as out:
-        if args.format == "json":
-            print(report.to_json(), file=out)
-        else:
-            print(*report.summary_lines(), sep="\n", file=out)
-            print("result=" + ("pass" if report.passed else "FAIL"), file=out)
-    return 0 if report.passed else 1
+    if args.format == "json":
+        lines = [report.to_json()]
+    else:
+        lines = [*report.summary_lines(), "result=" + ("pass" if report.passed else "FAIL")]
+    return (0 if report.passed else 1), lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +295,19 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) == "json" and getattr(args, "decimals", None):
         args.parser.error("--decimals is not read with --format json")
     try:
-        return args.run(args)
+        if (getattr(args, "decimals", None) or 0) > DECIMALS_CAP:  # before any work
+            raise ValueError(f"--decimals must be at most {DECIMALS_CAP}, "
+                             f"got {_shown(args.decimals)}")
+        code, lines = args.run(args)
+        lines = iter(lines)
+        # a run that fails before its first line exists leaves stdout and --out as they were
+        head = list(itertools.islice(lines, 1))
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            for line in itertools.chain(head, lines):
+                print(line, file=out)
+            out.flush()  # a reader that closed stdout shows up here, not at exit
+        return code
     except UsageError as exc:
         args.parser.error(str(exc))  # exits with code 2
     except BrokenPipeError:  # the reader closed stdout, as `| head` does: end quietly

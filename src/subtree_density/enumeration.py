@@ -11,7 +11,7 @@ import random
 from itertools import repeat
 from typing import Iterator, List, Sequence, Tuple
 
-from .tree import Tree, TreeError, _shown, _sweeps, orient
+from .tree import SIZE_CAP, Tree, TreeError, _shown, _sweeps, orient
 
 ENUM_CAP = 18
 SAMPLE_RETRIES = 1000
@@ -201,7 +201,8 @@ def _draws(rng: random.Random, size: int, count: int) -> List[int]:
 
 
 def sample_series_reduced(n_target: int, seed: int) -> Tree:
-    """Deterministic random series-reduced tree with at least n_target vertices.
+    """Deterministic random series-reduced tree with at least n_target vertices,
+    for 4 <= n_target <= SIZE_CAP.
 
     Draws uniform labeled trees on n_target + slack vertices and suppresses
     degree-2 vertices; grows the slack until the reduction is large enough.
@@ -210,6 +211,9 @@ def sample_series_reduced(n_target: int, seed: int) -> Tree:
     """
     if n_target < 4:
         raise TreeError("sample_series_reduced requires n_target >= 4")
+    if n_target > SIZE_CAP:
+        raise TreeError(f"sample_series_reduced requires n_target <= {SIZE_CAP}, "
+                        f"got {_shown(n_target)}")
     rng = random.Random(seed)
     size = max(n_target + 4, (n_target * 5) // 3)
     for _ in range(SAMPLE_RETRIES):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -10,7 +9,7 @@ from typing import Dict, Iterable, List
 
 from .dp import global_stats
 from .rationals import _int_text, ratio_json, to_decimal
-from .tree import Tree, TreeError, classify_vertices, diameter
+from .tree import SIZE_CAP, Tree, TreeError, _shown, classify_vertices, diameter
 
 SWEEP_CAP = 5000
 
@@ -124,28 +123,38 @@ def starfish(k: int, r: int) -> Tree:
 
 
 _CONSTRUCTORS = {
-    "path": (path, ("n",)),
-    "star": (star, ("m",)),
-    "star_chain": (star_chain, ("s", "p")),
-    "broom": (broom, ("m", "k")),
-    "leafy_path": (leafy_path, ("n", "l")),
-    "starfish": (starfish, ("k", "r")),
+    "path": (path, ("n",), lambda n: n),
+    "star": (star, ("m",), lambda m: m + 1),
+    "star_chain": (star_chain, ("s", "p"), lambda s, p: s * p),
+    "broom": (broom, ("m", "k"), lambda m, k: 1 + m + 3 * k),
+    "leafy_path": (leafy_path, ("n", "l"), lambda n, l: n),
+    "starfish": (starfish, ("k", "r"), lambda k, r: 1 + k * (2 * r - 1)),
 }
 
 FAMILY_NAMES = tuple(_CONSTRUCTORS)
 
 
-def make_family(spec: FamilySpec) -> Tree:
+def _member(spec: FamilySpec):
+    """(constructor, parameter values, vertex count) of the member `spec` names, unbuilt."""
     if spec.name not in _CONSTRUCTORS:
         raise FamilyError(f"unknown family {spec.name!r}; choose from {FAMILY_NAMES}")
-    ctor, names = _CONSTRUCTORS[spec.name]
+    ctor, names, size = _CONSTRUCTORS[spec.name]
     missing = [p for p in names if p not in spec.params]
     if missing:
         raise FamilyError(f"family {spec.name!r} needs parameters {names}, missing {missing}")
     extra = [p for p in spec.params if p not in names]
     if extra:
         raise FamilyError(f"family {spec.name!r} takes parameters {names}, got extra {extra}")
-    return ctor(*(spec.params[p] for p in names))
+    values = [spec.params[p] for p in names]
+    return ctor, values, size(*values)
+
+
+def make_family(spec: FamilySpec) -> Tree:
+    """The member `spec` names; one of more than SIZE_CAP vertices is refused unbuilt."""
+    ctor, values, n = _member(spec)
+    if n > SIZE_CAP:
+        raise FamilyError(f"family member {spec.name!r} has {_shown(n)} vertices > cap {SIZE_CAP}")
+    return ctor(*values)
 
 
 def density_sweep(spec: FamilySpec, param_name: str,
@@ -153,10 +162,12 @@ def density_sweep(spec: FamilySpec, param_name: str,
     """Exact per-instance statistics along one swept integer parameter."""
     points = []
     for value in values:
-        tree = make_family(spec.with_param(param_name, value))
-        if tree.n > SWEEP_CAP:
+        member = spec.with_param(param_name, value)
+        _, _, n = _member(member)
+        if n > SWEEP_CAP:
             raise FamilyError(
-                f"sweep instance {param_name}={value} has {tree.n} vertices > cap {SWEEP_CAP}")
+                f"sweep instance {param_name}={value} has {_shown(n)} vertices > cap {SWEEP_CAP}")
+        tree = make_family(member)
         if tree.n < 2:
             raise FamilyError(f"sweep instance {param_name}={value} has fewer than 2 vertices")
         cls = classify_vertices(tree)
@@ -178,20 +189,18 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def write_sweep_csv(points: List[DensitySequencePoint], fh, digits: int):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    for p in points:
-        writer.writerow([
-            p.param_value, p.n, p.leaves, p.twigs, p.diameter,
-            _int_text(p.density.numerator), _int_text(p.density.denominator),
-            to_decimal(p.density, digits),
-            to_decimal(Fraction(p.leaves, p.n), digits),
-            to_decimal(Fraction(p.twigs, p.n), digits),
-        ])
+def sweep_csv(points: List[DensitySequencePoint], digits: int) -> str:
+    """The sweep as CSV, header first, no final newline; no field needs quoting."""
+    rows = [SWEEP_CSV_COLUMNS]
+    rows += [(p.param_value, p.n, p.leaves, p.twigs, p.diameter,
+              _int_text(p.density.numerator), _int_text(p.density.denominator),
+              to_decimal(p.density, digits), to_decimal(Fraction(p.leaves, p.n), digits),
+              to_decimal(Fraction(p.twigs, p.n), digits)) for p in points]
+    return "\n".join(",".join(map(str, row)) for row in rows)
 
 
-def write_sweep_json(points: List[DensitySequencePoint], fh):
+def sweep_json(points: List[DensitySequencePoint]) -> str:
+    """The sweep as a JSON list of rows, with no final newline."""
     rows = [{"param": p.param_value, "n": p.n, "leaves": p.leaves, "twigs": p.twigs,
              "diameter": p.diameter, "density": ratio_json(p.density)} for p in points]
-    print(json.dumps(rows, sort_keys=True, indent=2), file=fh)
+    return json.dumps(rows, sort_keys=True, indent=2)

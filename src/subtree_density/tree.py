@@ -9,6 +9,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .rationals import _int_text
 
 BLOCK_SEPARATOR = "---"
+SIZE_CAP = 10 ** 6  # largest sample n_target and family member; sampling 10**7 runs out of memory
 
 
 class TreeError(ValueError):

@@ -96,23 +96,66 @@ def test_enumerate_range_checked_before_any_tree(capsys, n, bad):
     assert err == f"error: enumeration requires 1 <= n <= 18, got {bad}\n"
 
 
-# 10**30 overflows a C index at once; an n between about 10**7 and 5.5 * 10**18
-# would instead make the sampler allocate until memory runs out
 HUGE = str(10 ** 30)
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "--n", HUGE],
-    ["verify", "--source", "sample", "--n", HUGE, "--count", "1"],
-    ["stats", "--decimals", HUGE],
-    ["oracle", "--decimals", HUGE],
-    ["family", "--family", "star", "--sweep", "m=3..4", "--decimals", HUGE],
+@pytest.mark.parametrize("argv, named", [
+    (["sample", "--n", HUGE], "n_target"),
+    (["verify", "--source", "sample", "--n", HUGE, "--count", "1"], "n_target"),
+    (["stats", "--decimals", HUGE], "--decimals"),
+    (["oracle", "--decimals", HUGE], "--decimals"),
+    (["family", "--family", "star", "--sweep", "m=3..4", "--decimals", HUGE], "--decimals"),
 ], ids=["sample", "verify-sample", "stats", "oracle", "family-sweep"])
-def test_huge_numeric_argument_is_an_error(capsys, p4_file, argv):
+def test_huge_numeric_argument_is_an_error(capsys, p4_file, argv, named):
     if argv[0] in ("stats", "oracle"):
         argv = argv + ["--tree", p4_file]
-    code, _, err = run(capsys, *argv)
-    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")  # no partial output, such as a sweep's CSV header
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sample", "--n", "1000001"), "sample_series_reduced requires n_target <= 1000000, "
+                                   "got 1000001"),
+    (("stats", "--tree", "P4", "--decimals", "1000001"),
+     "--decimals must be at most 1000000, got 1000001"),
+    (("oracle", "--tree", "P4", "--decimals", "1000001"),
+     "--decimals must be at most 1000000, got 1000001"),
+    (("family", "--family", "path", "--params", "n=1000000000"),
+     "family member 'path' has 1000000000 vertices > cap 1000000"),
+    (("verify", "--source", "family", "--family", "path", "--params", "n=1000000000"),
+     "family member 'path' has 1000000000 vertices > cap 1000000"),
+    (("family", "--family", "path", "--sweep", "n=100000000..100000000"),
+     "sweep instance n=100000000 has 100000000 vertices > cap 5000"),
+], ids=["sample", "stats", "oracle", "family", "verify-family", "family-sweep"])
+def test_bounds_checked_before_any_tree(capsys, monkeypatch, p4_file, argv, message):
+    def no_tree(*args):
+        raise AssertionError("built a tree for a size above the bound")
+
+    monkeypatch.setattr("subtree_density.enumeration._draws", no_tree)
+    monkeypatch.setattr("subtree_density.families.Tree", no_tree)
+    code, out, err = run(capsys, *(p4_file if a == "P4" else a for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "--tree", "P19"), "oracle refuses n = 19 > limit 18"),
+    (("oracle", "--tree", "P19", "--dump"), "oracle refuses n = 19 > limit 18"),
+    (("family", "--family", "star", "--params", "m=0"),
+     "parameter constraint violated: star requires m >= 1"),
+    (("family", "--family", "path", "--sweep", "n=4999..5001"),
+     "sweep instance n=5001 has 5001 vertices > cap 5000"),
+    (("sample", "--n", "3"), "sample_series_reduced requires n_target >= 4"),
+], ids=["oracle", "oracle-dump", "family", "family-sweep", "sample"])
+def test_failed_run_leaves_out_file_as_it_was(capsys, tmp_path, argv, message):
+    p19 = tmp_path / "p19.tree"
+    p19.write_text(serialize(families.path(19)))
+    target = tmp_path / "kept.txt"
+    target.write_text("sentinel\n")
+    code, out, err = run(capsys, *(str(p19) if a == "P19" else a for a in argv),
+                         "--out", str(target))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert target.read_text() == "sentinel\n"
 
 
 def test_verify_enum_range_checked_before_any_check(capsys, monkeypatch):

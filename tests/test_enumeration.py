@@ -372,3 +372,12 @@ class TestSampling:
     def test_sample_target_guard(self):
         with pytest.raises(TreeError, match="n_target"):
             sample_series_reduced(3, seed=0)
+
+    @pytest.mark.parametrize("n", [10 ** 6 + 1, 10 ** 30], ids=["cap-plus-1", "10**30"])
+    def test_sample_size_cap(self, monkeypatch, n):
+        def no_draws(*args):
+            raise AssertionError("drew for a size above the cap")
+
+        monkeypatch.setattr(enumeration, "_draws", no_draws)
+        with pytest.raises(TreeError, match=r"n_target <= 1000000, got 1"):
+            sample_series_reduced(n, seed=0)

@@ -1,15 +1,15 @@
-import io
 from fractions import Fraction
 
 import pytest
 
+from subtree_density import families
 from subtree_density.dp import global_stats, rooted_counts, vertex_view
 from subtree_density.families import (
     FamilyError,
     FamilySpec,
     density_sweep,
     make_family,
-    write_sweep_csv,
+    sweep_csv,
 )
 from subtree_density.tree import classify_vertices, diameter, is_series_reduced
 
@@ -74,6 +74,19 @@ class TestConstructors:
         with pytest.raises(FamilyError, match="extra"):
             build("path", n=4, m=1)
 
+    @pytest.mark.parametrize("name, params", [
+        ("path", {"n": 7}), ("star", {"m": 5}), ("star_chain", {"s": 3, "p": 4}),
+        ("broom", {"m": 2, "k": 3}), ("leafy_path", {"n": 9, "l": 3}),
+        ("starfish", {"k": 3, "r": 4}),
+    ])
+    def test_size_cap_reads_the_vertex_count(self, monkeypatch, name, params):
+        n = build(name, **params).n
+        monkeypatch.setattr(families, "SIZE_CAP", n)
+        assert build(name, **params).n == n
+        monkeypatch.setattr(families, "SIZE_CAP", n - 1)
+        with pytest.raises(FamilyError, match=f"has {n} vertices > cap {n - 1}$"):
+            build(name, **params)
+
 
 class TestEqualityCases:
     def test_broom_lambda(self):
@@ -121,9 +134,7 @@ class TestSweeps:
 
     def test_csv_output(self):
         pts = density_sweep(FamilySpec("path", {}), "n", [4, 5])
-        buf = io.StringIO()
-        write_sweep_csv(pts, buf, 12)
-        lines = buf.getvalue().splitlines()
+        lines = sweep_csv(pts, 12).splitlines()
         assert lines[0] == ("param,n,leaves,twigs,diameter,density_num,density_den,"
                             "density_decimal,leaf_fraction_decimal,twig_fraction_decimal")
         assert lines[1].startswith("4,4,2,2,3,1,2,0.5")
