@@ -12,7 +12,7 @@ from typing import Iterable, List, Tuple
 
 from . import dp, enumeration, families, oracle, ranks, verify
 from .rationals import _int_text, format_ratio, to_decimal
-from .tree import BLOCK_SEPARATOR, Tree, TreeError, _shown, parse_trees, serialize
+from .tree import BLOCK_SEPARATOR, SIZE_CAP, Tree, TreeError, _shown, parse_trees, serialize
 
 
 DECIMALS = 12
@@ -44,12 +44,12 @@ def _parse_size(text: str) -> int:
     return lo
 
 
-def _parse_sweep(text: str) -> Tuple[str, Tuple[int, int]]:
-    """'r=1..20' -> ('r', (1, 20))."""
+def _parse_sweep(text: str) -> Tuple[str, int, int]:
+    """'r=1..20' -> ('r', 1, 20)."""
     name, eq, rng = text.partition("=")
     if not eq or not name.strip():
         raise UsageError(f"bad sweep {text!r}, expected name=A..B")
-    return name.strip(), _parse_range(rng)
+    return (name.strip(), *_parse_range(rng))
 
 
 def _positive_int(text: str) -> int:
@@ -102,10 +102,10 @@ def _load_tree(args) -> Tree:
     return trees[0]
 
 
-def _stats_lines(stats: dp.SubtreeStats, args) -> List[str]:
-    """`stats` as JSON, or as text with --decimals significant digits."""
+def _stats_lines(stats: dp.SubtreeStats, args, **extra) -> List[str]:
+    """`stats` as JSON with the `extra` keys, or as text with --decimals significant digits."""
     if args.format == "json":
-        return [json.dumps(stats.to_json_dict(), sort_keys=True, indent=2)]
+        return [json.dumps({**stats.to_json_dict(), **extra}, sort_keys=True, indent=2)]
     digits = args.decimals or DECIMALS
     means = [("mu", stats.mu), ("density", stats.density), ("mu_prime", stats.mu_prime)]
     return [f"n={stats.n}", f"subtrees={_int_text(stats.subtree_count)}",
@@ -126,12 +126,14 @@ def cmd_oracle(args) -> Output:
         return 0, oracle.dump_subsets(tree)
     brute = oracle.oracle_stats(tree)
     agree = brute == dp.global_stats(tree)
+    if args.format == "json":
+        return (0 if agree else 1), _stats_lines(brute, args, agreement=agree)
     verdict = "agreement=ok" if agree else "MISMATCH: oracle disagrees with the DP computation"
     return (0 if agree else 1), [*_stats_lines(brute, args), verdict]
 
 
 def _family_spec(args):
-    """--family and --params as a spec, and --sweep as (name, (lo, hi)) or None."""
+    """--family and --params as a spec, and --sweep as (name, lo, hi) or None."""
     if not args.family:
         raise UsageError("--family NAME is required")
     spec = families.FamilySpec(args.family, _parse_params(args.params or ""))
@@ -147,8 +149,7 @@ def cmd_family(args) -> Output:
         if args.format or args.decimals:
             raise UsageError("--format and --decimals are read only with --sweep")
         return 0, _tree_lines([families.make_family(spec)])
-    name, (lo, hi) = sweep
-    points = families.density_sweep(spec, name, range(lo, hi + 1))
+    points = families.density_sweep(spec, *sweep)
     if args.format == "json":
         return 0, [families.sweep_json(points)]
     return 0, [families.sweep_csv(points, args.decimals or DECIMALS)]
@@ -188,35 +189,32 @@ def cmd_cseq(args) -> Output:
                for j, c in enumerate(ranks.c_sequence(args.count)))
 
 
-def _verify_trees(args):
-    """The tree stream of `verify`; its arguments are checked before it starts."""
-    if args.source == "enum":
-        return _enumerated(args)
-    if args.source == "sample":
-        return _sampled(args)
-    if args.source == "family":
-        spec, sweep = _family_spec(args)
-        if not sweep:
-            return [families.make_family(spec)]
-        name, (lo, hi) = sweep
-        return (families.make_family(spec.with_param(name, v)) for v in range(lo, hi + 1))
+def _family_trees(args):
+    spec, sweep = _family_spec(args)
+    if not sweep:
+        return [families.make_family(spec)]
+    return families.sweep_members(spec, *sweep, SIZE_CAP)
+
+
+def _file_trees(args):
     if not args.tree:
         raise UsageError("--source file needs --tree")
     return _load_trees(args.tree)
 
 
-# the flags that each --source reads; another of them, if given, is a usage error
-_SOURCE_FLAGS = {
-    "enum": ("n", "series_reduced"),
-    "sample": ("n", "seed", "count"),
-    "family": ("family", "params", "sweep"),
-    "file": ("tree",),
+# each --source: the flags it reads, another of them being a usage error, and its trees
+_SOURCES = {
+    "enum": (("n", "series_reduced"), _enumerated),
+    "sample": (("n", "seed", "count"), _sampled),
+    "family": (("family", "params", "sweep"), _family_trees),
+    "file": (("tree",), _file_trees),
 }
 
 
 def cmd_verify(args) -> Output:
-    unread = [flag for flags in _SOURCE_FLAGS.values() for flag in flags
-              if flag not in _SOURCE_FLAGS[args.source] and getattr(args, flag) is not None]
+    reads, trees = _SOURCES[args.source]
+    unread = [flag for flags, _ in _SOURCES.values() for flag in flags
+              if flag not in reads and getattr(args, flag) is not None]
     if unread:
         names = ", ".join(dict.fromkeys("--" + flag.replace("_", "-") for flag in unread))
         raise UsageError(f"--source {args.source} does not read {names}")
@@ -228,7 +226,7 @@ def cmd_verify(args) -> Output:
             setattr(args, flag, value)
     config = {"source": args.source, "checks": args.checks,
               **{flag: getattr(args, flag) for flag in defaults}}
-    report = verify.run_checks(_verify_trees(args), args.checks, config=config)
+    report = verify.run_checks(trees(args), args.checks, config=config)
     if args.format == "json":
         lines = [report.to_json()]
     else:
@@ -279,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("cseq", "coefficient sequence c_j", cmd_cseq, count=6)
     p = add("verify", "run inequality checks over a tree stream", cmd_verify,
             formats=text_json, family=True)
-    p.add_argument("--source", choices=tuple(_SOURCE_FLAGS), required=True)
+    p.add_argument("--source", choices=tuple(_SOURCES), required=True)
     # no defaults here, so cmd_verify can tell which flags were given
     p.add_argument("--n", help="A..B for enum (default 4..12); N for sample, where it is required")
     p.add_argument("--series-reduced", action="store_true", default=None, help="enum")
@@ -290,6 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that is a directory or lies in none, before the run does any work."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path!r}: {folder!r} is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "format", None) == "json" and getattr(args, "decimals", None):
@@ -298,6 +305,8 @@ def main(argv=None) -> int:
         if (getattr(args, "decimals", None) or 0) > DECIMALS_CAP:  # before any work
             raise ValueError(f"--decimals must be at most {DECIMALS_CAP}, "
                              f"got {_shown(args.decimals)}")
+        if args.out:
+            _check_out(args.out)
         code, lines = args.run(args)
         lines = iter(lines)
         # a run that fails before its first line exists leaves stdout and --out as they were

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List
+from typing import Dict, Iterator, List
 
 from .dp import global_stats
 from .rationals import _int_text, ratio_json, to_decimal
@@ -125,10 +125,10 @@ def starfish(k: int, r: int) -> Tree:
 _CONSTRUCTORS = {
     "path": (path, ("n",), lambda n: n),
     "star": (star, ("m",), lambda m: m + 1),
-    "star_chain": (star_chain, ("s", "p"), lambda s, p: s * p),
+    "star_chain": (star_chain, ("s", "p"), lambda s, p: max(s, 0) * max(p, 0)),
     "broom": (broom, ("m", "k"), lambda m, k: 1 + m + 3 * k),
     "leafy_path": (leafy_path, ("n", "l"), lambda n, l: n),
-    "starfish": (starfish, ("k", "r"), lambda k, r: 1 + k * (2 * r - 1)),
+    "starfish": (starfish, ("k", "r"), lambda k, r: 1 + max(k, 0) * max(2 * r - 1, 0)),
 }
 
 FAMILY_NAMES = tuple(_CONSTRUCTORS)
@@ -157,17 +157,20 @@ def make_family(spec: FamilySpec) -> Tree:
     return ctor(*values)
 
 
+def sweep_members(spec: FamilySpec, name: str, lo: int, hi: int, cap: int) -> Iterator[Tree]:
+    """The members with `name` = lo..hi, built as read; refused unbuilt when the one at hi,
+    the largest as each size formula is non-decreasing, has more than `cap` vertices."""
+    _, _, n = _member(spec.with_param(name, hi))
+    if n > cap:
+        raise FamilyError(f"sweep instance {name}={hi} has {_shown(n)} vertices > cap {cap}")
+    return (make_family(spec.with_param(name, v)) for v in range(lo, hi + 1))
+
+
 def density_sweep(spec: FamilySpec, param_name: str,
-                  values: Iterable[int]) -> List[DensitySequencePoint]:
-    """Exact per-instance statistics along one swept integer parameter."""
+                  lo: int, hi: int) -> List[DensitySequencePoint]:
+    """Exact per-instance statistics along one swept integer parameter, lo..hi."""
     points = []
-    for value in values:
-        member = spec.with_param(param_name, value)
-        _, _, n = _member(member)
-        if n > SWEEP_CAP:
-            raise FamilyError(
-                f"sweep instance {param_name}={value} has {_shown(n)} vertices > cap {SWEEP_CAP}")
-        tree = make_family(member)
+    for value, tree in enumerate(sweep_members(spec, param_name, lo, hi, SWEEP_CAP), start=lo):
         if tree.n < 2:
             raise FamilyError(f"sweep instance {param_name}={value} has fewer than 2 vertices")
         cls = classify_vertices(tree)

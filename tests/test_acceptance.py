@@ -185,7 +185,7 @@ def test_criterion_7_anchor_at_scale():
 
 
 def test_criterion_8a_star_sweep():
-    pts = density_sweep(FamilySpec("star", {}), "m", range(1, 201))
+    pts = density_sweep(FamilySpec("star", {}), "m", 1, 200)
     ok = all(Fraction(a.leaves, a.n) < Fraction(b.leaves, b.n)
              for a, b in zip(pts[1:], pts[2:]))
     ok = ok and abs(pts[-1].density - Fraction(1, 2)) < Fraction(1, 100)
@@ -193,7 +193,7 @@ def test_criterion_8a_star_sweep():
 
 
 def test_criterion_8b_starfish_radius_sweep():
-    pts = density_sweep(FamilySpec("starfish", {"k": 3}), "r", range(1, 61))
+    pts = density_sweep(FamilySpec("starfish", {"k": 3}), "r", 1, 60)
     ok = all(a.density < b.density for a, b in zip(pts, pts[1:]))
     ok = ok and pts[-1].density > Fraction(72, 100)
     ok = ok and Fraction(pts[-1].twigs, pts[-1].n) < Fraction(2, 100)

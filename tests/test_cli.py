@@ -10,6 +10,7 @@ import pytest
 
 from subtree_density import families
 from subtree_density.cli import main
+from subtree_density.dp import global_stats
 from subtree_density.tree import serialize
 
 from test_tree import NEEDS_DIGIT_LIMIT
@@ -44,6 +45,21 @@ def test_stats_json(capsys, p4_file):
 def test_oracle_agreement(capsys, p4_file):
     code, out, _ = run(capsys, "oracle", "--tree", p4_file)
     assert code == 0 and "agreement=ok" in out
+
+
+def test_oracle_json_carries_agreement(capsys, p4_file):
+    code, out, _ = run(capsys, "oracle", "--tree", p4_file, "--format", "json")
+    blob = json.loads(out)
+    assert code == 0 and blob["agreement"] is True and blob["subtree_count"] == "10"
+
+
+def test_oracle_mismatch_exits_1(capsys, monkeypatch, p4_file):
+    other = global_stats(families.path(5))
+    monkeypatch.setattr("subtree_density.oracle.oracle_stats", lambda tree: other)
+    code, out, _ = run(capsys, "oracle", "--tree", p4_file, "--format", "json")
+    assert code == 1 and json.loads(out) == {**other.to_json_dict(), "agreement": False}
+    code, out, _ = run(capsys, "oracle", "--tree", p4_file)
+    assert code == 1 and out.endswith("\nMISMATCH: oracle disagrees with the DP computation\n")
 
 
 def test_oracle_dump(capsys, p4_file):
@@ -127,7 +143,18 @@ def test_huge_numeric_argument_is_an_error(capsys, p4_file, argv, named):
      "family member 'path' has 1000000000 vertices > cap 1000000"),
     (("family", "--family", "path", "--sweep", "n=100000000..100000000"),
      "sweep instance n=100000000 has 100000000 vertices > cap 5000"),
-], ids=["sample", "stats", "oracle", "family", "verify-family", "family-sweep"])
+    (("verify", "--source", "family", "--family", "path", "--sweep", "n=4..2000000"),
+     "sweep instance n=2000000 has 2000000 vertices > cap 1000000"),
+    (("family", "--family", "path", "--sweep", "n=4..100000000"),
+     "sweep instance n=100000000 has 100000000 vertices > cap 5000"),
+    # a size formula that is large only for invalid parameters leaves the constraint to say so
+    (("family", "--family", "star_chain", "--params", "s=-2000,p=-2000"),
+     "parameter constraint violated: star_chain requires s >= 1"),
+    (("family", "--family", "starfish", "--params", "k=-2000,r=-2000"),
+     "parameter constraint violated: starfish requires k >= 3"),
+], ids=["sample", "stats", "oracle", "family", "verify-family", "family-sweep",
+        "verify-family-sweep-range", "family-sweep-range", "star_chain-negative",
+        "starfish-negative"])
 def test_bounds_checked_before_any_tree(capsys, monkeypatch, p4_file, argv, message):
     def no_tree(*args):
         raise AssertionError("built a tree for a size above the bound")
@@ -166,6 +193,22 @@ def test_verify_enum_range_checked_before_any_check(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--source", "enum", "--n", "16..19")
     assert (code, out) == (1, "")
     assert err == "error: enumeration requires 1 <= n <= 18, got 19\n"
+
+
+@pytest.mark.parametrize("out, message", [
+    ("missing/r.txt", "--out 'missing/r.txt': 'missing' is not a directory"),
+    (".", "--out '.' is a directory"),
+], ids=["missing-directory", "directory"])
+def test_bad_out_fails_before_the_run(capsys, monkeypatch, tmp_path, out, message):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("run_checks started on an --out it cannot write")
+
+    monkeypatch.setattr("subtree_density.cli.verify.run_checks", no_checks)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "verify", "--source", "enum", "--n", "4..12",
+                            "--checks", "C1", "--out", out)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_sample_deterministic(capsys):
@@ -353,6 +396,7 @@ def test_count_below_one_rejected(capsys, argv):
     ("family", "--family", "path", "--sweep", "n=6..4"),
     ("verify", "--source", "enum", "--n", "6..4"),
     ("verify", "--source", "family", "--family", "path", "--sweep", "n=6..4"),
+    ("family", "--family", "path", "--sweep", "n4..6"),
 ])
 def test_bad_or_reversed_range_rejected(capsys, argv):
     assert usage_error(*argv) == 2
@@ -561,6 +605,8 @@ def test_readme_library_example_runs():
     (("family", "--family", "star", "--params", "m=5,m=6"), "family"),
     (("stats", "--tree", "P4", "--format", "json", "--decimals", "3"), "stats"),
     (("verify", "--source", "file", "--tree", "P4", "--n", "4..5"), "verify"),
+    (("family", "--params", "n=4"), "family"),
+    (("verify", "--source", "file"), "verify"),
 ])
 def test_usage_error_prints_the_subcommand_usage(capsys, p4_file, argv, command):
     assert usage_error(*(p4_file if a == "P4" else a for a in argv)) == 2

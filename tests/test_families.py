@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,15 @@ class TestConstructors:
         with pytest.raises(FamilyError, match=f"has {n} vertices > cap {n - 1}$"):
             build(name, **params)
 
+    @pytest.mark.parametrize("name", families.FAMILY_NAMES)
+    def test_size_formula_non_decreasing_in_each_parameter(self, name):
+        # sweep_members bounds a whole sweep by its member at hi, which needs this
+        _, names, size = families._CONSTRUCTORS[name]
+        for values in itertools.product(range(-6, 7), repeat=len(names)):
+            for i in range(len(names)):
+                bigger = values[:i] + (values[i] + 1,) + values[i + 1:]
+                assert size(*values) <= size(*bigger), (values, bigger)
+
 
 class TestEqualityCases:
     def test_broom_lambda(self):
@@ -108,12 +118,12 @@ class TestEqualityCases:
 
 class TestSweeps:
     def test_path_density_closed_form(self):
-        pts = density_sweep(FamilySpec("path", {}), "n", range(4, 31))
+        pts = density_sweep(FamilySpec("path", {}), "n", 4, 30)
         for p in pts:
             assert p.density == Fraction(p.n + 2, 3 * p.n)
 
     def test_star_density_towards_half(self):
-        pts = density_sweep(FamilySpec("star", {}), "m", range(1, 51))
+        pts = density_sweep(FamilySpec("star", {}), "m", 1, 50)
         # Density dips, peaks near m = 9, then decreases steadily toward 1/2.
         tail = pts[8:]
         assert all(a.density > b.density for a, b in zip(tail, tail[1:]))
@@ -124,16 +134,16 @@ class TestSweeps:
         assert abs(pts[-1].density - Fraction(1, 2)) < Fraction(2, 100)
 
     def test_starfish_density_increases(self):
-        pts = density_sweep(FamilySpec("starfish", {"k": 3}), "r", range(1, 21))
+        pts = density_sweep(FamilySpec("starfish", {"k": 3}), "r", 1, 20)
         assert all(a.density < b.density for a, b in zip(pts, pts[1:]))
         assert pts[-1].density > Fraction(70, 100)
 
     def test_vertex_cap(self):
         with pytest.raises(FamilyError, match="cap"):
-            density_sweep(FamilySpec("path", {}), "n", [10, 6000])
+            density_sweep(FamilySpec("path", {}), "n", 10, 6000)
 
     def test_csv_output(self):
-        pts = density_sweep(FamilySpec("path", {}), "n", [4, 5])
+        pts = density_sweep(FamilySpec("path", {}), "n", 4, 5)
         lines = sweep_csv(pts, 12).splitlines()
         assert lines[0] == ("param,n,leaves,twigs,diameter,density_num,density_den,"
                             "density_decimal,leaf_fraction_decimal,twig_fraction_decimal")
