@@ -9,6 +9,7 @@ from .dp import (
     global_stats,
     good_anchor,
     rooted_counts,
+    totals,
     vertex_sums,
     vertex_view,
 )
@@ -51,5 +52,5 @@ __all__ = [
     "make_family", "oracle_stats", "oracle_tally", "orient",
     "parse_tree", "parse_trees", "rank_bound_numerators", "rank_lower_bound",
     "rank_profile", "rooted_counts", "run_checks", "sample_series_reduced",
-    "serialize", "simple_lower_bound", "vertex_sums", "vertex_view",
+    "serialize", "simple_lower_bound", "totals", "vertex_sums", "vertex_view",
 ]

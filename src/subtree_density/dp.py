@@ -191,19 +191,28 @@ def all_containment_counts(tree: Tree) -> Tuple[int, ...]:
     return global_stats(tree).containment
 
 
+def _root_last_sum(order, values) -> int:
+    """sum(values) over a down pass, the root's entry last so that short values add first."""
+    return sum(map(values.__getitem__, reversed(order)))
+
+
+def totals(tree: Tree) -> Tuple[int, int]:
+    """(N(T), S) from one down pass: each subtree counted once, at its vertex nearest the root."""
+    _, order, down_count, down_sum = _down_pass(tree, 0)
+    return _root_last_sum(order, down_count), _root_last_sum(order, down_sum)
+
+
 def global_stats(tree: Tree) -> SubtreeStats:
     """All global subtree aggregates of one tree, as exact values."""
     parent, order, down_count, _ = _down_pass(tree, 0, sums=False)
     alpha, _ = _top_down(parent, order, down_count)
-    # each subtree is counted once, at its vertex nearest the root; short counts summed first
-    return SubtreeStats.from_totals(tree, sum(map(down_count.__getitem__, reversed(order))), alpha)
+    return SubtreeStats.from_totals(tree, _root_last_sum(order, down_count), alpha)
 
 
 def vertex_sums(tree: Tree) -> Tuple[List[int], List[int], int]:
     """(alpha, sigma, N(T)): ints from one O(n) pass; lambda(T, v) = sigma[v] / alpha[v]."""
     parent, order, down_count, down_sum = _down_pass(tree, 0)
-    total = sum(map(down_count.__getitem__, reversed(order)))  # root last, as in `global_stats`
-    return (*_top_down(parent, order, down_count, down_sum), total)
+    return (*_top_down(parent, order, down_count, down_sum), _root_last_sum(order, down_count))
 
 
 def vertex_view(tree: Tree, v: int) -> VertexSubtreeView:

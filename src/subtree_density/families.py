@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterator, List
 
-from .dp import global_stats
+from .dp import totals
 from .rationals import _int_text, ratio_json, to_decimal
 from .tree import SIZE_CAP, Tree, TreeError, _shown, classify_vertices, diameter
 
@@ -22,11 +22,6 @@ class FamilyError(TreeError):
 class FamilySpec:
     name: str
     params: Dict[str, int]
-
-    def with_param(self, key: str, value: int) -> "FamilySpec":
-        merged = dict(self.params)
-        merged[key] = value
-        return replace(self, params=merged)
 
 
 @dataclass(frozen=True)
@@ -160,10 +155,10 @@ def make_family(spec: FamilySpec) -> Tree:
 def sweep_members(spec: FamilySpec, name: str, lo: int, hi: int, cap: int) -> Iterator[Tree]:
     """The members with `name` = lo..hi, built as read; refused unbuilt when the one at hi,
     the largest as each size formula is non-decreasing, has more than `cap` vertices."""
-    _, _, n = _member(spec.with_param(name, hi))
+    _, _, n = _member(replace(spec, params={**spec.params, name: hi}))
     if n > cap:
         raise FamilyError(f"sweep instance {name}={hi} has {_shown(n)} vertices > cap {cap}")
-    return (make_family(spec.with_param(name, v)) for v in range(lo, hi + 1))
+    return (make_family(replace(spec, params={**spec.params, name: v})) for v in range(lo, hi + 1))
 
 
 def density_sweep(spec: FamilySpec, param_name: str,
@@ -173,14 +168,14 @@ def density_sweep(spec: FamilySpec, param_name: str,
     for value, tree in enumerate(sweep_members(spec, param_name, lo, hi, SWEEP_CAP), start=lo):
         if tree.n < 2:
             raise FamilyError(f"sweep instance {param_name}={value} has fewer than 2 vertices")
-        cls = classify_vertices(tree)
+        cls, (total, order_sum) = classify_vertices(tree), totals(tree)
         points.append(DensitySequencePoint(
             param_value=value,
             n=tree.n,
             leaves=len(cls.leaves),
             twigs=len(cls.twigs),
             diameter=diameter(tree),
-            density=global_stats(tree).density,
+            density=Fraction(order_sum, tree.n * total),
         ))
     return points
 

@@ -96,7 +96,6 @@ def _diagnose(n: int, edges, norm) -> None:
 @dataclass(frozen=True)
 class VertexClassification:
     leaves: frozenset
-    internal: frozenset
     twigs: frozenset
 
 
@@ -192,7 +191,7 @@ def serialize(tree: Tree) -> str:
 
 
 def classify_vertices(tree: Tree) -> VertexClassification:
-    """Partition vertices into leaves/internal and identify twigs.
+    """The leaves (degree one) and the twigs.
 
     A twig is an internal vertex with at least d(v)-1 leaf neighbours,
     equivalently a leaf of the leaf-deleted tree.
@@ -200,11 +199,9 @@ def classify_vertices(tree: Tree) -> VertexClassification:
     if tree.n == 1:
         raise TreeError("classification undefined for single vertex")
     leaf_set = frozenset(v for v in range(tree.n) if tree.degree(v) == 1)
-    internal = frozenset(v for v in range(tree.n) if tree.degree(v) >= 2)
-    twigs = frozenset(
-        v for v in internal
-        if sum(1 for w in tree.adj[v] if w in leaf_set) >= tree.degree(v) - 1)
-    return VertexClassification(leaves=leaf_set, internal=internal, twigs=twigs)
+    twigs = frozenset(v for v, a in enumerate(tree.adj)
+                      if len(a) >= 2 and sum(w in leaf_set for w in a) >= len(a) - 1)
+    return VertexClassification(leaves=leaf_set, twigs=twigs)
 
 
 def is_series_reduced(tree: Tree) -> bool:

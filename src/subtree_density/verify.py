@@ -17,14 +17,14 @@ Check ids:
                            reports it as a violation
 
 Every comparison is exact; equality detection never uses a tolerance.  Each
-tree gets one `dp.vertex_sums` pass: alpha(v) and sigma(v) at every vertex and
-N(T), with order sum S = sum_v alpha(v).  mu = S/N, D = S/(nN), mu' =
-(S-l)/(N-l+1) and lambda = sigma/alpha meet their bounds by integer
-cross-multiplication (lambda only where the integer parts tie); only a
-witness builds a Fraction.  C10's bound (5n+k+4)/10 is the same at every
-internal root (k is the internal count), and `ranks.rank_bound_numerators`
-gives C11's bound t/d at every root in one rerooting pass, so C10 and C11
-are linear per tree.
+tree gets one down pass from vertex 0, which gives N(T) and the order sum S
+(see `dp.totals`); only C1 and C7-C11, which read alpha(v) and sigma(v) at
+every vertex, reroot from it.  mu = S/N, D = S/(nN), mu' = (S-l)/(N-l+1) and
+lambda = sigma/alpha meet their bounds by integer cross-multiplication
+(lambda only where the integer parts tie); only a witness builds a Fraction.
+C10's bound (5n+k+4)/10 is the same at every internal root (k is the
+internal count), and `ranks.rank_bound_numerators` gives C11's bound t/d at
+every root in one rerooting pass, so C10 and C11 are linear per tree.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
-from .dp import good_anchor, vertex_sums
+from .dp import _down_pass, _root_last_sum, _top_down, good_anchor
 from .dp import vertex_view  # noqa: F401  perfbench/test_perfbench.py reads verify.vertex_view
 from .enumeration import canonical_form
 from .rationals import _int_text, format_ratio
@@ -51,10 +51,11 @@ STPOLY_MAX = 64
 
 
 class _TreeContext:
-    """Lazy per-tree cache shared by all checks; each value is computed once."""
+    """Per-tree values shared by all checks, each computed once; all but `internal` when read."""
 
     def __init__(self, tree: Tree):
         self.tree = tree
+        self.internal = [v for v, a in enumerate(tree.adj) if len(a) >= 2]  # most checks read it
 
     @cached_property
     def code(self):
@@ -65,16 +66,17 @@ class _TreeContext:
         return is_series_reduced(self.tree)
 
     @cached_property
-    def internal(self):
-        return [v for v, a in enumerate(self.tree.adj) if len(a) >= 2]
+    def down(self):
+        return _down_pass(self.tree, 0)
 
     @cached_property
-    def sums(self):
-        return vertex_sums(self.tree)
+    def totals(self):  # (N, S), as `dp.totals` gives them
+        _, order, down_count, down_sum = self.down
+        return _root_last_sum(order, down_count), _root_last_sum(order, down_sum)
 
     @cached_property
-    def order_sum(self):
-        return sum(self.sums[0])  # each subtree counted once per vertex it holds
+    def sums(self):  # (alpha, sigma) at every vertex: the rerooting pass
+        return _top_down(*self.down)
 
 
 @dataclass
@@ -129,7 +131,7 @@ def _witness(ctx: _TreeContext, **values) -> dict:
 
 
 def _check_c1(ctx, out):
-    alpha, _, total = ctx.sums
+    alpha, total = ctx.sums[0], ctx.totals[0]
     for v, a in enumerate(ctx.tree.adj):
         if len(a) == 1 and not 2 * alpha[v] < total:
             out.violations.append(_witness(ctx, vertex=v, alpha=_int_text(alpha[v]),
@@ -137,7 +139,7 @@ def _check_c1(ctx, out):
 
 
 def _check_c2(ctx, out):
-    n, s, total = ctx.tree.n, ctx.order_sum, ctx.sums[2]
+    n, (total, s) = ctx.tree.n, ctx.totals
     if not 4 * s < (3 * n - 2) * total:
         out.violations.append(_witness(ctx, mu=(s, total), bound=(3 * n - 2, 4)))
 
@@ -150,7 +152,7 @@ def _check_c3(ctx, out):
 
 def _check_c4(ctx, out):
     # mu' = (S - l)/(N - l + 1): S' adds the empty set and drops the leaf singletons
-    s, total, l = ctx.order_sum, ctx.sums[2], ctx.tree.n - len(ctx.internal)
+    (total, s), l = ctx.totals, ctx.tree.n - len(ctx.internal)
     lhs, rhs = s * (total - l + 1), (s - l) * total
     if lhs > rhs:
         out.violations.append(_witness(ctx, mu=(s, total), mu_prime=(s - l, total - l + 1)))
@@ -160,7 +162,7 @@ def _check_c4(ctx, out):
 
 def _check_c5(ctx, out):
     twigs = len(classify_vertices(ctx.tree).twigs)
-    n, s, total = ctx.tree.n, ctx.order_sum, ctx.sums[2]
+    n, (total, s) = ctx.tree.n, ctx.totals
     # 3n/4 - 2t/5 = (15n - 8t)/20
     if not 20 * s < (15 * n - 8 * twigs) * total:
         out.violations.append(_witness(ctx, mu=(s, total), twigs=twigs,
@@ -168,7 +170,7 @@ def _check_c5(ctx, out):
 
 
 def _check_c7(ctx, out):
-    alpha, _, total = ctx.sums
+    alpha, total = ctx.sums[0], ctx.totals[0]
     for v in ctx.internal:
         if 2 * alpha[v] < total:
             out.violations.append(_witness(ctx, vertex=v, alpha=_int_text(alpha[v]),
@@ -190,13 +192,13 @@ def _check_c8(ctx, out):
 
 
 def _check_c9(ctx, out):
-    alpha, sigma, total = ctx.sums
+    (alpha, sigma), (total, s) = ctx.sums, ctx.totals
     v = good_anchor(ctx.tree, alpha, total)
     if v is None:
         out.violations.append(_witness(ctx, anchor=None))
         return
     # mu - lambda(v) = (S alpha_v - sigma_v N) / (N alpha_v)
-    gap, d = ctx.order_sum * alpha[v] - sigma[v] * total, total * alpha[v]
+    gap, d = s * alpha[v] - sigma[v] * total, total * alpha[v]
     if not abs(gap) < 2 * d:
         out.violations.append(_witness(ctx, anchor=v, gap=(gap, d)))
 
@@ -206,7 +208,7 @@ def _check_lambda_bound(ctx, out, numerators, d):
 
     Unequal integer parts decide it; only equal ones need the cross-multiplication.
     """
-    alpha, sigma, _ = ctx.sums
+    alpha, sigma = ctx.sums
     for v in ctx.internal:
         lhs, rhs = sigma[v] // alpha[v], numerators[v] // d
         if lhs == rhs:
@@ -230,7 +232,7 @@ def _check_c11(ctx, out):
 
 def _check_c12(ctx, out):
     # D = S/(nN)
-    s, nn = ctx.order_sum, ctx.tree.n * ctx.sums[2]
+    nn, s = ctx.tree.n * ctx.totals[0], ctx.totals[1]
     if not (nn < 2 * s and 4 * s < 3 * nn):
         out.violations.append(_witness(ctx, density=(s, nn)))
 

@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import os
 import re
@@ -611,3 +612,23 @@ def test_readme_library_example_runs():
 def test_usage_error_prints_the_subcommand_usage(capsys, p4_file, argv, command):
     assert usage_error(*(p4_file if a == "P4" else a for a in argv)) == 2
     assert capsys.readouterr().err.startswith(f"usage: subtree-density {command} ")
+
+
+# SHA-256 of the stdout of commands whose numbers come from N(T) and the order
+# sum S; a verify report is digested as its body, without `elapsed_seconds`
+@pytest.mark.parametrize("command, digest", [
+    ("verify --source family --family starfish --params k=3 --sweep r=1..20 "
+     "--checks C2,C5,C12 --format json",
+     "163d9593bbf93665264e1ac8b82a2a3d3a4a7c7ea31b9cc091d0939163c0483b"),
+    ("verify --source family --family star_chain --params p=5 --sweep s=1..40 --format json",
+     "3f1a9aae9034b4a8a438cd139715045c03026737c2c5fdd7aecf211e8cbf7760"),
+    ("family --family star_chain --params p=5 --sweep s=1..60",
+     "b75076cbaf04ff362eba9d5573ef4d94d0c29b3b85637727dd852d39091792d8"),
+    ("family --family star_chain --params p=5 --sweep s=1..60 --format json",
+     "8ab5148b0aeb46927d1176b69b68e31bb00136280801d30b6015f7b6d8908f99"),
+], ids=["verify-starfish-C2,C5,C12", "verify-star_chain-all", "sweep-csv", "sweep-json"])
+def test_density_outputs_keep_their_bytes(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    if command.startswith("verify"):
+        out = json.dumps(json.loads(out)["report"], sort_keys=True, indent=2)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

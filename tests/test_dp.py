@@ -13,6 +13,7 @@ from subtree_density.dp import (
     global_stats,
     good_anchor,
     rooted_counts,
+    totals,
     vertex_sums,
     vertex_view,
 )
@@ -104,6 +105,28 @@ class TestGlobalStats:
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, t):
         assert global_stats(t) == oracle_stats(t)
+
+
+class TestTotals:
+    """(N(T), S) from the down pass alone: each subtree counted once, at its
+    vertex nearest the root."""
+
+    @given(random_trees(9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, t):
+        total, alphas, _, _ = oracle_tally(t)
+        assert totals(t) == (total, sum(alphas))
+
+    @given(random_trees(40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_vertex_sums(self, t):
+        alpha, _, total = vertex_sums(t)
+        assert totals(t) == (total, sum(alpha))
+
+    def test_star_beyond_int_digit_limit(self):
+        t = star(15000)
+        alpha, _, total = vertex_sums(t)
+        assert totals(t) == (total, sum(alpha))
 
 
 class TestVertexView:

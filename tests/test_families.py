@@ -1,9 +1,10 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
-from subtree_density import families
+from subtree_density import dp, families
 from subtree_density.dp import global_stats, rooted_counts, vertex_view
 from subtree_density.families import (
     FamilyError,
@@ -137,6 +138,27 @@ class TestSweeps:
         pts = density_sweep(FamilySpec("starfish", {"k": 3}), "r", 1, 20)
         assert all(a.density < b.density for a, b in zip(pts, pts[1:]))
         assert pts[-1].density > Fraction(70, 100)
+
+    @pytest.mark.parametrize("name, params, sweep", [
+        ("path", {}, ("n", 2, 30)), ("star", {}, ("m", 1, 40)),
+        ("star_chain", {"p": 5}, ("s", 1, 12)), ("broom", {"m": 3}, ("k", 0, 12)),
+        ("leafy_path", {"l": 3}, ("n", 4, 20)), ("starfish", {"k": 3}, ("r", 1, 12)),
+    ])
+    def test_density_without_rerooting(self, monkeypatch, name, params, sweep):
+        # the densities global_stats gives, with global_stats and the rerooting pass failing
+        spec = FamilySpec(name, params)
+        expected = [global_stats(t).density for t in
+                    families.sweep_members(spec, *sweep, families.SWEEP_CAP)]
+
+        def fail(*args):
+            raise AssertionError("density_sweep ran the rerooting pass")
+
+        for key, mod in list(sys.modules.items()):
+            for fn in (global_stats, dp._top_down):
+                if key.split(".")[0] == "subtree_density" and \
+                        getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, fail)
+        assert [p.density for p in density_sweep(spec, *sweep)] == expected
 
     def test_vertex_cap(self):
         with pytest.raises(FamilyError, match="cap"):

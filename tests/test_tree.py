@@ -296,9 +296,10 @@ class TestClassification:
         if t.n == 1:
             return
         cls = classify_vertices(t)
-        assert cls.leaves | cls.internal == frozenset(range(t.n))
-        assert not cls.leaves & cls.internal
-        assert cls.twigs <= cls.internal
+        internal = frozenset(v for v in range(t.n) if t.degree(v) >= 2)
+        assert cls.leaves | internal == frozenset(range(t.n))
+        assert not cls.leaves & internal
+        assert cls.twigs <= internal
 
     @given(random_trees())
     def test_twigs_are_leaves_of_leaf_deleted(self, t):

@@ -28,6 +28,14 @@ def outcome(report, check):
 
 
 TREE_CHECKS = [c for c in ALL_CHECKS if c != "C6"]
+VERTEX_CHECKS = ("C1", "C7", "C8", "C9", "C10", "C11")  # read alpha or sigma at each vertex
+
+
+def inject_tables(monkeypatch, sums, totals=None):
+    """Every tree's checks read `sums` as (alpha, sigma), and `totals`, if given, as (N, S)."""
+    monkeypatch.setattr(verify._TreeContext, "sums", property(lambda ctx: sums))
+    if totals is not None:
+        monkeypatch.setattr(verify._TreeContext, "totals", property(lambda ctx: totals))
 
 
 class TestStpoly:
@@ -109,8 +117,7 @@ class TestRunChecks:
         # the centre a C7 and a C8 one
         t = star(15000)
         alpha, sigma, total = vertex_sums(t)
-        doctored = ([1, total] + alpha[2:], sigma, total)
-        monkeypatch.setattr(verify, "vertex_sums", lambda tree: doctored)
+        inject_tables(monkeypatch, ([1, total] + alpha[2:], sigma))
         report = run_checks([t], ["C1", "C7", "C8"])
         count = str(decimal.Decimal(total))  # Decimal(int) is exact and not bound by the limit
         expected = {"C1": {"vertex": 1, "alpha": count, "subtree_count": count},
@@ -165,8 +172,9 @@ class TestRunChecks:
 
 
 class TestRootedChecksCost:
-    """Every tree check reads one vertex_sums table: a tree is oriented once,
-    when it is built, not once per check, per pass or per root."""
+    """One down pass per tree gives N and S to every check, and only C1 and
+    C7-C11 reroot from it, once per tree: a tree is oriented once, when it is
+    built, not once per check, per pass or per root."""
 
     @staticmethod
     def _count_calls(monkeypatch, module, name):
@@ -194,6 +202,19 @@ class TestRootedChecksCost:
             assert outcome(report, "C11").trees_applicable == 1
             assert len(calls) == 1
         assert second_passes == [[], []]
+
+    @pytest.mark.parametrize("checks", [("C2", "C3", "C4", "C5", "C12"), TREE_CHECKS] +
+                             [(c,) for c in VERTEX_CHECKS], ids=",".join)
+    def test_one_down_pass_and_rerooting_only_for_vertex_checks(self, monkeypatch, checks):
+        # every check applies to each tree: series-reduced, n >= 30
+        trees = [sample_series_reduced(n, seed) for n, seed in ((30, 0), (45, 1), (80, 2))]
+        trees += [star(40), caterpillar(20)]
+        down = self._count_calls(monkeypatch, dp, "_down_pass")
+        rerooted = self._count_calls(monkeypatch, dp, "_top_down")
+        report = run_checks(trees, checks)
+        assert all(o.trees_applicable == len(trees) for o in report.outcomes)
+        assert [args[0] for args in down] == trees
+        assert len(rerooted) == (len(trees) if set(checks) & set(VERTEX_CHECKS) else 0)
 
     def test_fraction_constructions_bounded(self, monkeypatch):
         # a Fraction per vertex would be about 2n; without a witness no check builds one
@@ -272,8 +293,7 @@ class TestLambdaChecks:
         alpha, sigma, total = vertex_sums(t)
         assert (alpha[0], sigma[0]) == (32, 112)
         for sigma0, expected in ((111, ([(0, "111/32", "7/2")], [])), (112, ([], [(0, "7/2")]))):
-            doctored = ([96] + alpha[1:], [3 * sigma0] + sigma[1:], total)
-            monkeypatch.setattr(verify, "vertex_sums", lambda tree, sums=doctored: sums)
+            inject_tables(monkeypatch, ([96] + alpha[1:], [3 * sigma0] + sigma[1:]))
             assert _lambda_outcomes(t) == {"C10": expected, "C11": expected}
 
     @pytest.mark.parametrize("sigma0, expected, products", [
@@ -296,9 +316,8 @@ class TestLambdaChecks:
             __rmul__ = __mul__
 
         t = star(5)
-        alpha, sigma, total = vertex_sums(t)
-        doctored = ([Counted(96)] + alpha[1:], [Counted(3 * sigma0)] + sigma[1:], total)
-        monkeypatch.setattr(verify, "vertex_sums", lambda tree: doctored)
+        alpha, sigma, _ = vertex_sums(t)
+        inject_tables(monkeypatch, ([Counted(96)] + alpha[1:], [Counted(3 * sigma0)] + sigma[1:]))
         assert _lambda_outcomes(t) == {"C10": expected, "C11": expected}
         assert len(seen) == products
 
@@ -378,8 +397,8 @@ class TestMeanChecks:
             found |= {(c, t.n, bool(e)) for c, (v, e) in got.items() if v or e}
         assert found == {("C4", 4, True), ("C12", 6, False)}
 
-    # star(30) with a doctored (alpha, sigma, N) table, the violated checks
-    # and the checks with an equality case
+    # star(30) with a doctored (alpha, sigma, N) table read with S = sum(alpha),
+    # the violated checks and the checks with an equality case
     @pytest.mark.parametrize("doctor, violated, equal", [
         # mu = n = 31, above C2's, C5's and C12's bounds; lambda(0) = 29 and 30
         # put the gap on C9's bound of 2 and just inside it
@@ -398,7 +417,7 @@ class TestMeanChecks:
     def test_witnesses_match_fraction_reference(self, monkeypatch, doctor, violated, equal):
         t = star(30)
         alpha, sigma, total = doctor(*vertex_sums(t))
-        monkeypatch.setattr(verify, "vertex_sums", lambda tree: (alpha, sigma, total))
+        inject_tables(monkeypatch, (alpha, sigma), (total, sum(alpha)))
         got = _mean_outcomes(t)
         stats = SubtreeStats.from_totals(t, total, alpha)
         assert got == _mean_reference(t, stats, lambda v: Fraction(sigma[v], alpha[v]))
