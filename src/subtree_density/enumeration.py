@@ -3,6 +3,7 @@
 Each tree is built once, as a root above a multiset of smaller rooted trees:
 a free tree is its centroid above branches of fewer than n/2 vertices, or
 two n/2-vertex rooted trees joined at the central edge (Otter 1948).
+Representatives and canonical forms are `_form` strings, compared as level sequences.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ import random
 from itertools import repeat
 from typing import Iterator, List, Sequence, Tuple
 
-from .tree import SIZE_CAP, Tree, TreeError, _shown, _sweeps, orient
+from .tree import SIZE_CAP, Tree, TreeError, _depths, _shown, _sweeps
 
 ENUM_CAP = 18
 SAMPLE_RETRIES = 1000
+FORM_CAP = 2 * 0x10FFFF + 1  # chr() stops at 0x10FFFF, and centroids are at depth <= n // 2
 
 
 def _hang(branches: List[List[int]]) -> List[int]:
@@ -90,36 +92,43 @@ def centroids(tree: Tree) -> List[int]:
     return [v for v in range(n) if 2 * max(heavy[v], n - size[v]) <= n]
 
 
-def _rooted_levels(adj: Sequence[Sequence[int]], root: int) -> List[int]:
-    """Canonical level sequence of the tree with neighbour lists `adj`, rooted at `root`."""
-    parent, order = orient(adj, root)
-    below: List[list] = [[] for _ in adj]
-    for u in order[:0:-1]:
-        below[parent[u]].append(_hang(below[u]))
-        below[u] = None  # a path would otherwise keep quadratically many levels
-    return _hang(below[root])
+def _form(parent: Sequence[int], order: Sequence[int], depth: Sequence[int]) -> str:
+    """The level sequence of a `tree._depths` rooting as a string: chr(depth) of each vertex,
+    then its children's forms, largest first.  Siblings share a depth, so no branch is shifted."""
+    below: List[list] = [[] for _ in range(len(order) + 1)]  # the root's parent -1 is the last
+    for u in reversed(order):
+        kids = below[u]
+        below[u] = None  # a path would otherwise keep quadratically many characters
+        kids.sort(reverse=True)
+        below[parent[u]].append(chr(depth[u]) + "".join(kids))
+    return below[-1][0]
 
 
 def canonical_form(tree: Tree) -> Tuple[int, ...]:
     """Canonical level sequence, rooted at the centroid.
 
     For bicentroidal trees the lexicographically smaller of the two
-    encodings is used.  Equal forms iff isomorphic.
+    encodings is used.  Equal forms iff isomorphic.  n <= FORM_CAP = 2,228,223.
     """
-    return tuple(min(_rooted_levels(tree.adj, c) for c in centroids(tree)))
+    if tree.n > FORM_CAP:
+        raise TreeError(f"canonical_form requires n <= {FORM_CAP}, got {_shown(tree.n)}")
+    return tuple(map(ord, min(_form(*_depths(tree.adj, c)) for c in centroids(tree))))
 
 
-def _representative(levels: List[int]) -> List[int]:
-    """The greatest leaf-rooted canonical level sequence of the tree with these levels."""
+def _representative(levels: List[int]) -> str:
+    """The greatest leaf-rooted `_form` of the tree with these levels.  The two sweeps root
+    it at a and b; each other peripheral leaf, one per neighbour, is rooted once more."""
     adj: List[List[int]] = [[] for _ in levels]
     for p, c in _level_edges(levels):
         adj[p].append(c)
         adj[c].append(p)
-    near, far = _sweeps(adj, levels.index(max(levels)))  # the deepest vertex ends a longest path
-    diam = max(near)
-    # peripheral vertices are leaves (or the one vertex); keep one per neighbour
-    ends = {tuple(adj[v]): v for v in range(len(adj)) if max(near[v], far[v]) == diam}
-    return max(_rooted_levels(adj, v) for v in ends.values())
+    first, second = _sweeps(adj, levels.index(max(levels)))  # the deepest vertex is an a
+    near, far, diam = first[2], second[2], max(first[2])
+    rootings = {tuple(adj[r[1][0]]): r for r in (second, first)}  # a's, on a star
+    for v, nbrs in enumerate(adj):
+        if max(near[v], far[v]) == diam and tuple(nbrs) not in rootings:
+            rootings[tuple(nbrs)] = _depths(adj, v)
+    return max(_form(*r) for r in rootings.values())
 
 
 def check_enum_size(n: int) -> None:
@@ -142,8 +151,8 @@ def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
     """
     check_enum_size(n)
     found = [_representative(levels) for levels in _free_level_sequences(n, series_reduced)]
-    for levels in sorted(found, reverse=True):
-        yield tree_from_level_sequence(levels)
+    for form in sorted(found, reverse=True):
+        yield tree_from_level_sequence(list(map(ord, form)))
 
 
 def _prufer_neighbours(seq: Sequence[int], n: int) -> List[List[int]]:

@@ -209,22 +209,22 @@ def is_series_reduced(tree: Tree) -> bool:
     return tree.n >= 3 and 2 not in map(len, tree.adj)
 
 
-def _sweeps(adj: Sequence[Sequence[int]], start: int) -> List[List[int]]:
-    """Distances from `start`, then from a vertex farthest from it, which ends a longest path.
+def _depths(adj: Sequence[Sequence[int]], root: int) -> Tuple[List[int], List[int], List[int]]:
+    """`orient(adj, root)` and each vertex's distance from `root`, in one walk of its order."""
+    parent, order = orient(adj, root)
+    depth = [0] * len(adj)
+    for w in order[1:]:
+        depth[w] = depth[parent[w]] + 1
+    return parent, order, depth
 
-    If `start` ends one too, v's eccentricity is the larger of its two distances.
-    """
-    dists, far = [], start
-    for _ in range(2):
-        parent, order = orient(adj, far)
-        depth = [0] * len(adj)
-        for w in order[1:]:
-            depth[w] = depth[parent[w]] + 1
-        dists.append(depth)
-        far = max(range(len(adj)), key=depth.__getitem__)
-    return dists
+
+def _sweeps(adj: Sequence[Sequence[int]], start: int) -> Tuple[tuple, tuple]:
+    """`_depths` from `start`, then from its order's last vertex, which ends a longest path;
+    if `start` ends one too, v's eccentricity is the larger of its two distances."""
+    first = _depths(adj, start)
+    return first, _depths(adj, first[1][-1])
 
 
 def diameter(tree: Tree) -> int:
     """Edge count of a longest path: the greatest distance from a vertex farthest from 0."""
-    return max(_sweeps(tree.adj, 0)[1])
+    return max(_sweeps(tree.adj, 0)[1][2])

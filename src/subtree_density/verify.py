@@ -50,6 +50,16 @@ ALL_CHECKS = ("C1", "C2", "C3", "C4", "C5", "C6",
 STPOLY_MAX = 64
 
 
+class _once(cached_property):
+    """`cached_property` without the per-instance lock that Python 3.11 takes on a first read."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:  # read on the class, as a test's monkeypatch does
+            return self
+        value = ctx.__dict__[self.attrname] = self.func(ctx)
+        return value
+
+
 class _TreeContext:
     """Per-tree values shared by all checks, each computed once; all but `internal` when read."""
 
@@ -57,24 +67,24 @@ class _TreeContext:
         self.tree = tree
         self.internal = [v for v, a in enumerate(tree.adj) if len(a) >= 2]  # most checks read it
 
-    @cached_property
+    @_once
     def code(self):
         return canonical_form(self.tree)
 
-    @cached_property
+    @_once
     def series_reduced(self):
         return is_series_reduced(self.tree)
 
-    @cached_property
+    @_once
     def down(self):
         return _down_pass(self.tree, 0)
 
-    @cached_property
+    @_once
     def totals(self):  # (N, S), as `dp.totals` gives them
         _, order, down_count, down_sum = self.down
         return _root_last_sum(order, down_count), _root_last_sum(order, down_sum)
 
-    @cached_property
+    @_once
     def sums(self):  # (alpha, sigma) at every vertex: the rerooting pass
         return _top_down(*self.down)
 

@@ -1,18 +1,23 @@
+import hashlib
 import heapq
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subtree_density import enumeration
 from subtree_density.enumeration import (
     ENUM_CAP,
     SAMPLE_RETRIES,
+    FORM_CAP,
     _draws,
+    _form,
     _free_level_sequences,
+    _hang,
     _prufer_neighbours,
     _representative,
-    _rooted_levels,
     _suppressed,
     canonical_form,
     centroids,
@@ -21,9 +26,10 @@ from subtree_density.enumeration import (
     sample_series_reduced,
     tree_from_level_sequence,
 )
-from subtree_density.tree import Tree, TreeError, is_series_reduced
+from subtree_density.tree import Tree, TreeError, is_series_reduced, orient, serialize
 
-from test_tree import path, prufer_tree, star
+from test_tree import path, prufer_tree, random_trees, star
+from test_verify import caterpillar
 
 # free trees up to isomorphism on 1..14 vertices (OEIS A000055)
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
@@ -67,9 +73,44 @@ def counting_series(top):
     return r, free, reduced
 
 
+# SHA-256 over `serialize` of every tree from enumerate_trees(n, series_reduced)
+# for n = 1..top, in order: the representatives' labels and their order
+ENUMERATION_DIGESTS = {
+    (False, 14): "46bc08e9dfaa6846d86b866bb658e3756558cfdd9d7e09d19609e3db30552567",
+    (True, 18): "f1fe42d938e34cf14cf1b691b88c7de3f739881915a609b957ca58f853b00ed4",
+}
+
+
+def rooted_levels(adj, root):
+    """Canonical level sequence rooted at `root`, as lists: each vertex hangs its
+    children's sequences, largest first, shifted one level down."""
+    parent, order = orient(adj, root)
+    below = [[] for _ in adj]
+    for u in order[:0:-1]:
+        below[parent[u]].append(_hang(below[u]))
+    return _hang(below[root])
+
+
+def reference_canonical_form(tree):
+    """The smaller of the list-built sequences rooted at the centroids."""
+    return tuple(min(rooted_levels(tree.adj, c) for c in centroids(tree)))
+
+
 def brute_representative(tree):
     """The greatest canonical level sequence over every root of degree < 2."""
-    return max(_rooted_levels(tree.adj, v) for v in range(tree.n) if tree.degree(v) < 2)
+    return max(rooted_levels(tree.adj, v) for v in range(tree.n) if tree.degree(v) < 2)
+
+
+@st.composite
+def deep_trees(draw):
+    """A spine of 520 to 700 vertices with up to 40 more hung off it, labels shuffled:
+    rooted at a centroid, its forms reach depths above 255."""
+    spine = draw(st.integers(520, 700))
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for v in range(spine, spine + draw(st.integers(0, 40))):
+        edges.append((draw(st.integers(0, v - 1)), v))
+    perm = draw(st.permutations(range(len(edges) + 1)))
+    return Tree(len(perm), [(perm[u], perm[v]) for u, v in edges])
 
 
 def reference_prufer_neighbours(seq, n):
@@ -204,6 +245,36 @@ class TestCanonicalForm:
         # rooted at a middle vertex: the longer half, then the shorter one
         assert canonical_form(path(5000)) == (0, *range(1, 2501), *range(1, 2500))
 
+    def test_path_of_20000_closed_form(self):
+        # 10,000 levels, far past one byte per level
+        assert canonical_form(path(20000)) == (0, *range(1, 10001), *range(1, 10000))
+
+    @given(random_trees(60))
+    def test_matches_list_reference(self, t):
+        assert canonical_form(t) == reference_canonical_form(t)
+
+    @pytest.mark.parametrize("make", [lambda: path(600), lambda: path(601),
+                                      lambda: caterpillar(600)],
+                             ids=["path-600", "path-601", "caterpillar-600"])
+    def test_matches_list_reference_past_one_byte(self, make):
+        t = make()
+        code = canonical_form(t)
+        assert max(code) > 255 and code == reference_canonical_form(t)
+
+    @settings(max_examples=25, deadline=None)
+    @given(deep_trees())
+    def test_matches_list_reference_on_deep_trees(self, t):
+        code = canonical_form(t)
+        assert max(code) > 255 and code == reference_canonical_form(t)
+
+    def test_size_cap(self, monkeypatch):
+        # a centroid is at depth <= n // 2 from every vertex, and chr stops at maxunicode
+        assert FORM_CAP // 2 == sys.maxunicode
+        monkeypatch.setattr(enumeration, "FORM_CAP", 9)
+        assert canonical_form(path(9)) == (0, 1, 2, 3, 4, 1, 2, 3, 4)
+        with pytest.raises(TreeError, match=r"canonical_form requires n <= 9, got 10"):
+            canonical_form(path(10))
+
     def test_centroids(self):
         assert centroids(path(4)) == [1, 2]
         assert centroids(star(5)) == [0]
@@ -274,17 +345,17 @@ class TestEnumeration:
     def test_representative_is_greatest_leaf_rooting(self, series_reduced, top):
         for n in range(1, top + 1):
             for levels in _free_level_sequences(n, series_reduced):
-                assert (_representative(levels)
+                assert (list(map(ord, _representative(levels)))
                         == brute_representative(tree_from_level_sequence(levels)))
 
-    def _rooted_levels_per_class(self, monkeypatch, n, series_reduced):
+    def _forms_per_class(self, monkeypatch, n, series_reduced):
         calls = []
 
-        def counted(adj, root):
-            calls.append(root)
-            return _rooted_levels(adj, root)
+        def counted(parent, order, depth):
+            calls.append(order[0])
+            return _form(parent, order, depth)
 
-        monkeypatch.setattr(enumeration, "_rooted_levels", counted)
+        monkeypatch.setattr(enumeration, "_form", counted)
         classes = sum(1 for _ in enumerate_trees(n, series_reduced=series_reduced))
         return len(calls) / classes
 
@@ -292,12 +363,20 @@ class TestEnumeration:
     def test_representative_roots_few_leaves(self, monkeypatch, n, series_reduced):
         # one peripheral leaf per neighbour: about 2.5 rootings per class,
         # where every leaf gives 7.0 and 12.6
-        assert self._rooted_levels_per_class(monkeypatch, n, series_reduced) <= 3
+        assert 1 <= self._forms_per_class(monkeypatch, n, series_reduced) <= 3
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_star_is_rooted_once(self, monkeypatch, m):
         # K_{1,m} is the only series-reduced tree on m + 1 vertices
-        assert self._rooted_levels_per_class(monkeypatch, m + 1, True) == 1
+        assert self._forms_per_class(monkeypatch, m + 1, True) == 1
+
+    @pytest.mark.parametrize("series_reduced, top", sorted(ENUMERATION_DIGESTS))
+    def test_trees_labels_and_order_keep_their_bytes(self, series_reduced, top):
+        digest = hashlib.sha256()
+        for n in range(1, top + 1):
+            for t in enumerate_trees(n, series_reduced):
+                digest.update(serialize(t).encode())
+        assert digest.hexdigest() == ENUMERATION_DIGESTS[series_reduced, top]
 
     def test_cap(self):
         with pytest.raises(TreeError, match="1 <= n <="):
