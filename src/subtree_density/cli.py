@@ -17,6 +17,7 @@ from .tree import BLOCK_SEPARATOR, SIZE_CAP, Tree, TreeError, _shown, parse_tree
 
 DECIMALS = 12
 DECIMALS_CAP = 10 ** 6  # to_decimal takes tens of ms at this many digits
+CSEQ_CAP = 400  # cseq --count 400 takes about 6 s, and 600 about 40 s
 Output = Tuple[int, Iterable[str]]  # what a cmd_* returns: exit code, lines for `main` to write
 
 
@@ -185,6 +186,8 @@ def cmd_sample(args) -> Output:
 
 
 def cmd_cseq(args) -> Output:
+    if args.count > CSEQ_CAP:  # before the table is built
+        raise ValueError(f"--count must be at most {CSEQ_CAP}, got {_shown(args.count)}")
     return 0, (f"{j} {format_ratio(c)} {to_decimal(c, 15)}"
                for j, c in enumerate(ranks.c_sequence(args.count)))
 

@@ -12,7 +12,7 @@ import random
 from itertools import repeat
 from typing import Iterator, List, Sequence, Tuple
 
-from .tree import SIZE_CAP, Tree, TreeError, _depths, _shown, _sweeps
+from .tree import SIZE_CAP, Tree, TreeError, _depths, _shown
 
 ENUM_CAP = 18
 SAMPLE_RETRIES = 1000
@@ -116,13 +116,15 @@ def canonical_form(tree: Tree) -> Tuple[int, ...]:
 
 
 def _representative(levels: List[int]) -> str:
-    """The greatest leaf-rooted `_form` of the tree with these levels.  The two sweeps root
-    it at a and b; each other peripheral leaf, one per neighbour, is rooted once more."""
+    """The greatest leaf-rooted `_form` of the tree with these levels.  Sweeps from a, an end
+    of a longest path, and from b, last in a's order, give ecc(v) = max(d(a, v), d(b, v)) and
+    root it at a and b; each other peripheral leaf, one per neighbour, is rooted once more."""
     adj: List[List[int]] = [[] for _ in levels]
     for p, c in _level_edges(levels):
         adj[p].append(c)
         adj[c].append(p)
-    first, second = _sweeps(adj, levels.index(max(levels)))  # the deepest vertex is an a
+    first = _depths(adj, levels.index(max(levels)))  # the deepest vertex is an a
+    second = _depths(adj, first[1][-1])
     near, far, diam = first[2], second[2], max(first[2])
     rootings = {tuple(adj[r[1][0]]): r for r in (second, first)}  # a's, on a star
     for v, nbrs in enumerate(adj):
@@ -215,7 +217,7 @@ def sample_series_reduced(n_target: int, seed: int) -> Tree:
 
     Draws uniform labeled trees on n_target + slack vertices and suppresses
     degree-2 vertices; grows the slack until the reduction is large enough.
-    Each draw stays a neighbour list: only the reduced candidate is a `Tree`.
+    Each draw stays a neighbour list: only the reduced tree it returns is a `Tree`.
     The Pruefer entries are the values `rng.randrange(size)` would give.
     """
     if n_target < 4:
@@ -226,8 +228,8 @@ def sample_series_reduced(n_target: int, seed: int) -> Tree:
     rng = random.Random(seed)
     size = max(n_target + 4, (n_target * 5) // 3)
     for _ in range(SAMPLE_RETRIES):
-        candidate = Tree(*_suppressed(_prufer_neighbours(_draws(rng, size, size - 2), size)))
-        if candidate.n >= n_target:  # kept vertices keep their degrees, none of them 2
-            return candidate
+        n, edges = _suppressed(_prufer_neighbours(_draws(rng, size, size - 2), size))
+        if n >= n_target:  # kept vertices keep their degrees, none of them 2
+            return Tree(n, edges)
         size += max(1, size // 10)
     raise TreeError(f"failed to sample a series-reduced tree after {SAMPLE_RETRIES} retries")

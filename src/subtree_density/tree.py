@@ -218,13 +218,7 @@ def _depths(adj: Sequence[Sequence[int]], root: int) -> Tuple[List[int], List[in
     return parent, order, depth
 
 
-def _sweeps(adj: Sequence[Sequence[int]], start: int) -> Tuple[tuple, tuple]:
-    """`_depths` from `start`, then from its order's last vertex, which ends a longest path;
-    if `start` ends one too, v's eccentricity is the larger of its two distances."""
-    first = _depths(adj, start)
-    return first, _depths(adj, first[1][-1])
-
-
 def diameter(tree: Tree) -> int:
-    """Edge count of a longest path: the greatest distance from a vertex farthest from 0."""
-    return max(_sweeps(tree.adj, 0)[1][2])
+    """Edge count of a longest path: the greatest distance from `tree.order[-1]`,
+    a vertex farthest from 0, since the stored order is breadth-first from 0."""
+    return max(_depths(tree.adj, tree.order[-1])[2])

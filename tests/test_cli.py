@@ -6,11 +6,12 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
 from subtree_density import families
-from subtree_density.cli import main
+from subtree_density.cli import CSEQ_CAP, main
 from subtree_density.dp import global_stats
 from subtree_density.tree import serialize
 
@@ -76,6 +77,14 @@ def test_cseq(capsys):
     assert lines[0].startswith("0 1/2")
     assert lines[1].startswith("1 3/5")
     assert lines[2].startswith("2 69/100")
+
+
+def test_cseq_count_bound_checked_before_the_table(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cseq", "--count", str(CSEQ_CAP + 1))
+    assert time.perf_counter() - start < 0.5  # the table alone takes seconds at this count
+    assert (code, out, err) == (1, "", f"error: --count must be at most {CSEQ_CAP}, "
+                                       f"got {CSEQ_CAP + 1}\n")
 
 
 def test_family_build(capsys):

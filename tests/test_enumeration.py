@@ -448,6 +448,15 @@ class TestSampling:
         for seed in range(30):
             assert sample_series_reduced(n, seed) == reference_sample(n, seed)
 
+    def test_sample_builds_only_the_tree_it_returns(self, monkeypatch):
+        # at n = 30, seeds 0, 2 and 17 reject one, one and two draws
+        built, draws = [], []
+        monkeypatch.setattr(enumeration, "Tree", lambda *a: built.append(a) or Tree(*a))
+        monkeypatch.setattr(enumeration, "_draws", lambda *a: draws.append(a) or _draws(*a))
+        for seed in (0, 2, 17):
+            assert sample_series_reduced(30, seed) == reference_sample(30, seed)
+        assert (len(built), len(draws)) == (3, 7)
+
     def test_sample_target_guard(self):
         with pytest.raises(TreeError, match="n_target"):
             sample_series_reduced(3, seed=0)

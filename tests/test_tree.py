@@ -3,7 +3,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subtree_density.enumeration import _prufer_neighbours
+from subtree_density import families
+from subtree_density.enumeration import _prufer_neighbours, enumerate_trees
 from subtree_density.tree import (
     ParseError,
     Tree,
@@ -46,6 +47,20 @@ def random_trees(max_n=12):
         seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         return prufer_tree(seq, n)
     return st.composite(build)()
+
+
+def reference_diameter(t):
+    """The greatest distance between two vertices, by a breadth-first search from each."""
+    longest = 0
+    for start in range(t.n):
+        dist, queue = {start: 0}, [start]
+        for u in queue:
+            for w in t.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        longest = max(longest, *dist.values())
+    return longest
 
 
 def leaf_deleted(tree):
@@ -337,3 +352,31 @@ class TestPredicates:
         assert diameter(path(7)) == 6
         assert diameter(star(3)) == 2
         assert diameter(path(1)) == 0
+        assert diameter(path(20000)) == 19999
+
+    @given(random_trees(max_n=40))
+    def test_diameter_matches_all_pairs(self, t):
+        assert diameter(t) == reference_diameter(t)
+
+    def test_diameter_of_every_free_tree(self):
+        # enumerated trees are rooted at a peripheral leaf 0; reversed, 0 sits deeper
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                flipped = Tree(n, [(n - 1 - u, n - 1 - v) for u, v in t.edges])
+                assert diameter(t) == diameter(flipped) == reference_diameter(t)
+
+    @pytest.mark.parametrize("name, params", [
+        ("path", {"n": 9}), ("star", {"m": 5}), ("star_chain", {"s": 4, "p": 3}),
+        ("broom", {"m": 3, "k": 4}), ("leafy_path", {"n": 9, "l": 3}),
+        ("starfish", {"k": 3, "r": 4}),
+    ], ids=["path", "star", "star_chain", "broom", "leafy_path", "starfish"])
+    def test_diameter_of_families(self, name, params):
+        t = families.make_family(families.FamilySpec(name, params))
+        assert diameter(t) == reference_diameter(t)
+
+    def test_diameter_walks_once(self, monkeypatch):
+        # `Tree` keeps the walk from 0, so only the one from its last vertex is new
+        t, calls = families.starfish(3, 4), []
+        monkeypatch.setattr("subtree_density.tree.orient",
+                            lambda adj, root: calls.append(root) or orient(adj, root))
+        assert diameter(t) == 8 and calls == [t.order[-1]]
