@@ -1,16 +1,17 @@
 """Free-tree enumeration up to isomorphism, canonical forms, random sampling.
 
-Each tree is built once, as a root above a multiset of smaller rooted trees:
-a free tree is its centroid above branches of fewer than n/2 vertices, or
-two n/2-vertex rooted trees joined at the central edge (Otter 1948).
-Representatives and canonical forms are `_form` strings, compared as level sequences.
+Each free tree is built once, around its centre (Jordan 1869), from pooled rooted trees, as
+Wright, Richmond, Odlyzko and McKay (1986) generate them: with diameter 2R, a centre above
+branches of height at most R - 1, two of them that tall; with diameter 2h + 1, two halves
+of height h joined at the central edge.  Each class's representative is read off its build.
+Canonical forms are `_form` strings, compared as level sequences.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import repeat
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .tree import SIZE_CAP, Tree, TreeError, _depths, _shown
 
@@ -19,15 +20,7 @@ SAMPLE_RETRIES = 1000
 FORM_CAP = 2 * 0x10FFFF + 1  # chr() stops at 0x10FFFF, and centroids are at depth <= n // 2
 
 
-def _hang(branches: List[List[int]]) -> List[int]:
-    """Canonical level sequence of a new root above `branches`, largest first."""
-    levels = [0]
-    for branch in sorted(branches, reverse=True):
-        levels += [x + 1 for x in branch]
-    return levels
-
-
-def _multisets(pool: List[List[int]], total: int, start: int = 0) -> Iterator[List[List[int]]]:
+def _multisets(pool: List[bytes], total: int, start: int = 0) -> Iterator[List[bytes]]:
     """Multisets of trees from pool[start:], which is sorted by size, with `total` vertices."""
     if total == 0:
         yield []
@@ -39,30 +32,65 @@ def _multisets(pool: List[List[int]], total: int, start: int = 0) -> Iterator[Li
             yield rest
 
 
-def _rooted_pool(m: int, series_reduced: bool) -> List[List[int]]:
-    """Rooted trees on at most m vertices, by size; under `series_reduced`, no one-child vertex."""
-    pool: List[List[int]] = []
-    for size in range(1, m + 1):
-        pool += [_hang(branches) for branches in _multisets(pool, size - 1)
-                 if not (series_reduced and len(branches) == 1)]
-    return pool
+def _shifts(top: int) -> List[bytes]:
+    """`bytes.translate` tables that add k to every level, for k = 0..top."""
+    return [bytes(range(k, 256)) + bytes(k) for k in range(top + 1)]
+
+
+def _rooted_pool(m: int, series_reduced: bool, bound: int) -> Dict[bytes, bytes]:
+    """Rooted trees on at most m vertices with size + height <= bound, by size; under
+    `series_reduced`, no one-child vertex.  Maps each canonical level sequence, one byte a
+    level, to its tail: the walk down from its root into the last of its tallest children,
+    and on to a deepest leaf, where each vertex first lists its other children, in
+    decreasing order, with their roots at level (its height + 1)."""
+    shift = _shifts(m + 1)
+    tails = {b"\0": b""}  # one vertex, with nothing below it
+    for size in range(2, m + 1):
+        for kids in _multisets([f for f in tails if size + max(f) < bound], size - 1):
+            if series_reduced and len(kids) == 1:
+                continue
+            kids.sort(reverse=True)  # the tallest first
+            form = b"\0" + b"".join(kids).translate(shift[1])
+            height = max(kids[0])
+            step = kids.pop([max(k) for k in kids].count(height) - 1)
+            tails[form] = b"".join(kids).translate(shift[height + 2]) + tails[step]
+    return tails
 
 
 def rooted_level_sequences(n: int) -> Iterator[Tuple[int, ...]]:
     """Canonical level sequences of all rooted trees on n vertices, in decreasing order."""
-    yield from sorted((tuple(s) for s in _rooted_pool(n, False) if len(s) == n), reverse=True)
+    yield from sorted((tuple(f) for f in _rooted_pool(n, False, 2 * n) if len(f) == n),
+                      reverse=True)  # size + height < 2n: no bound
 
 
-def _free_level_sequences(n: int, series_reduced: bool) -> Iterator[List[int]]:
-    """A level sequence of each free tree on n vertices, built around its centroid."""
+def _representatives(n: int, series_reduced: bool) -> Iterator[bytes]:
+    """The greatest leaf-rooted level sequence of each free tree on n vertices, built
+    around its centre from branches whose size + height is at most n - 1."""
     if series_reduced and n < 3:
         return  # a series-reduced tree has an internal vertex
-    pool = _rooted_pool(n // 2, series_reduced)
-    for branches in _multisets([s for s in pool if 2 * len(s) < n], n - 1):
-        if len(branches) >= 3 or not series_reduced:
-            yield _hang(branches)
-    for half, other in _multisets([s for s in pool if 2 * len(s) == n], n):
-        yield half + [x + 1 for x in other]
+    if n == 1:
+        yield b"\0"
+        return
+    tails = _rooted_pool(n - 1, series_reduced, n - 1)
+    shift = _shifts(n)
+    for height in range(n // 2):  # of the tallest branches, at least two
+        tall = [f for f in tails if max(f) == height]
+        for pair in _multisets(tall, n):  # diameter 2 * height + 1: two joined halves
+            if len(pair) == 2:
+                big, small = sorted(pair, reverse=True)
+                yield bytes(range(height + 1)) + big.translate(shift[height + 1]) + tails[small]
+        short = [f for f in tails if max(f) < height]
+        head, up = bytes(range(height + 2)), shift[height + 2]
+        for size in range(2 * height + 2, n):  # diameter 2 * height + 2: a centre above
+            lows = [sorted(low, reverse=True) for low in _multisets(short, n - 1 - size)]
+            for highs in _multisets(tall, size):
+                if len(highs) < 2:
+                    continue
+                highs.sort(reverse=True)
+                step = tails[highs.pop()]  # the same walk as `_rooted_pool`'s tails
+                for low in lows:  # under `series_reduced`, with step's branch, three or more
+                    if len(highs) + len(low) >= 2 or not series_reduced:
+                        yield head + b"".join(highs + low).translate(up) + step
 
 
 def _level_edges(levels: Sequence[int]) -> Iterator[Tuple[int, int]]:
@@ -115,24 +143,6 @@ def canonical_form(tree: Tree) -> Tuple[int, ...]:
     return tuple(map(ord, min(_form(*_depths(tree.adj, c)) for c in centroids(tree))))
 
 
-def _representative(levels: List[int]) -> str:
-    """The greatest leaf-rooted `_form` of the tree with these levels.  Sweeps from a, an end
-    of a longest path, and from b, last in a's order, give ecc(v) = max(d(a, v), d(b, v)) and
-    root it at a and b; each other peripheral leaf, one per neighbour, is rooted once more."""
-    adj: List[List[int]] = [[] for _ in levels]
-    for p, c in _level_edges(levels):
-        adj[p].append(c)
-        adj[c].append(p)
-    first = _depths(adj, levels.index(max(levels)))  # the deepest vertex is an a
-    second = _depths(adj, first[1][-1])
-    near, far, diam = first[2], second[2], max(first[2])
-    rootings = {tuple(adj[r[1][0]]): r for r in (second, first)}  # a's, on a star
-    for v, nbrs in enumerate(adj):
-        if max(near[v], far[v]) == diam and tuple(nbrs) not in rootings:
-            rootings[tuple(nbrs)] = _depths(adj, v)
-    return max(_form(*r) for r in rootings.values())
-
-
 def check_enum_size(n: int) -> None:
     """Raise TreeError unless enumerate_trees accepts n."""
     if not 1 <= n <= ENUM_CAP:
@@ -144,17 +154,17 @@ def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
 
     A class's representative is its greatest canonical level sequence rooted
     at a leaf, labelled in preorder; the classes come out in decreasing order
-    of it.  Only peripheral leaves, one per neighbour, are tried as roots:
-    - rooted at r the sequence starts 0, 1, ..., ecc(r), as the deepest
-      branch sorts first, so only a leaf with ecc = diameter can attain it;
-    - two leaves on one neighbour are swapped by an automorphism;
-    - for the ends a, b of a longest path, ecc(v) = max(d(a, v), d(b, v));
-      the generator's deepest vertex is such an a, so two sweeps find them.
+    of it.  Rooted at r the sequence starts 0, 1, ..., ecc(r), so r is a leaf
+    at the radius from the centre; for diameter 2h + 1, in the smaller half,
+    so that the larger half, hanging one level below, comes first.  Then comes
+    the walk down from the centre to r: each vertex on it lists its other
+    children, in decreasing order, before anything further down, so the walk
+    steps into the last child that still reaches r's depth.  Equal choices are
+    isomorphic.
     """
     check_enum_size(n)
-    found = [_representative(levels) for levels in _free_level_sequences(n, series_reduced)]
-    for form in sorted(found, reverse=True):
-        yield tree_from_level_sequence(list(map(ord, form)))
+    for form in sorted(_representatives(n, series_reduced), reverse=True):
+        yield tree_from_level_sequence(form)
 
 
 def _prufer_neighbours(seq: Sequence[int], n: int) -> List[List[int]]:

@@ -7,17 +7,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subtree_density import enumeration
+from subtree_density import enumeration, tree as tree_module
 from subtree_density.enumeration import (
     ENUM_CAP,
     SAMPLE_RETRIES,
     FORM_CAP,
     _draws,
-    _form,
-    _free_level_sequences,
-    _hang,
     _prufer_neighbours,
-    _representative,
+    _rooted_pool,
     _suppressed,
     canonical_form,
     centroids,
@@ -26,7 +23,7 @@ from subtree_density.enumeration import (
     sample_series_reduced,
     tree_from_level_sequence,
 )
-from subtree_density.tree import Tree, TreeError, is_series_reduced, orient, serialize
+from subtree_density.tree import Tree, TreeError, _depths, is_series_reduced, orient, serialize
 
 from test_tree import path, prufer_tree, random_trees, star
 from test_verify import caterpillar
@@ -81,14 +78,22 @@ ENUMERATION_DIGESTS = {
 }
 
 
+def hang(branches):
+    """The level sequence of a new root above `branches`, largest first."""
+    levels = [0]
+    for branch in sorted(branches, reverse=True):
+        levels += [x + 1 for x in branch]
+    return levels
+
+
 def rooted_levels(adj, root):
     """Canonical level sequence rooted at `root`, as lists: each vertex hangs its
     children's sequences, largest first, shifted one level down."""
     parent, order = orient(adj, root)
     below = [[] for _ in adj]
     for u in order[:0:-1]:
-        below[parent[u]].append(_hang(below[u]))
-    return _hang(below[root])
+        below[parent[u]].append(hang(below[u]))
+    return hang(below[root])
 
 
 def reference_canonical_form(tree):
@@ -299,6 +304,21 @@ class TestEnumeration:
             assert seqs == list(reference_rooted_level_sequences(n))
             assert len(seqs) == expected
 
+    @pytest.mark.parametrize("series_reduced", [False, True])
+    def test_pool_holds_the_rooted_trees_within_its_bound(self, series_reduced):
+        # a branch or half of a free tree on n vertices has size + height <= n - 1
+        for m, bound in [(10, 10), (10, 7), (8, 12)]:
+            want = set()
+            for size in range(1, m + 1):
+                for levels in reference_rooted_level_sequences(size):
+                    t = tree_from_level_sequence(levels)
+                    one_child = any(t.degree(v) == 2 - (v == 0) for v in range(size))
+                    if size + max(levels) <= bound and not (series_reduced and one_child):
+                        want.add(levels)
+            pool = [tuple(f) for f in _rooted_pool(m, series_reduced, bound)]
+            assert len(pool) == len(want) and set(pool) == want
+            assert [len(f) for f in pool] == sorted(map(len, pool))
+
     @pytest.mark.parametrize("series_reduced, top", [(True, 14), (False, 11)])
     def test_same_trees_labels_and_order_as_reference(self, series_reduced, top):
         for n in range(1, top + 1):
@@ -343,32 +363,29 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("series_reduced, top", [(False, 12), (True, 16)])
     def test_representative_is_greatest_leaf_rooting(self, series_reduced, top):
+        # each tree is labelled in preorder of its representative, so the
+        # depths from vertex 0, in label order, are that level sequence
         for n in range(1, top + 1):
-            for levels in _free_level_sequences(n, series_reduced):
-                assert (list(map(ord, _representative(levels)))
-                        == brute_representative(tree_from_level_sequence(levels)))
-
-    def _forms_per_class(self, monkeypatch, n, series_reduced):
-        calls = []
-
-        def counted(parent, order, depth):
-            calls.append(order[0])
-            return _form(parent, order, depth)
-
-        monkeypatch.setattr(enumeration, "_form", counted)
-        classes = sum(1 for _ in enumerate_trees(n, series_reduced=series_reduced))
-        return len(calls) / classes
+            for t in enumerate_trees(n, series_reduced):
+                assert _depths(t.adj, 0)[2] == brute_representative(t)
 
     @pytest.mark.parametrize("n, series_reduced", [(14, False), (18, True)])
-    def test_representative_roots_few_leaves(self, monkeypatch, n, series_reduced):
-        # one peripheral leaf per neighbour: about 2.5 rootings per class,
-        # where every leaf gives 7.0 and 12.6
-        assert 1 <= self._forms_per_class(monkeypatch, n, series_reduced) <= 3
+    def test_representative_is_read_off_the_build(self, monkeypatch, n, series_reduced):
+        # no rooting is searched: no `_form`, and one orientation per class, in `Tree()`
+        calls = {"_form": 0, "orient": 0}
 
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_star_is_rooted_once(self, monkeypatch, m):
-        # K_{1,m} is the only series-reduced tree on m + 1 vertices
-        assert self._forms_per_class(monkeypatch, m + 1, True) == 1
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, call)
+
+        counted(enumeration, "_form")
+        counted(tree_module, "orient")
+        classes = sum(1 for _ in enumerate_trees(n, series_reduced=series_reduced))
+        assert calls == {"_form": 0, "orient": classes}
 
     @pytest.mark.parametrize("series_reduced, top", sorted(ENUMERATION_DIGESTS))
     def test_trees_labels_and_order_keep_their_bytes(self, series_reduced, top):
