@@ -13,7 +13,7 @@ import random
 from itertools import repeat
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .tree import SIZE_CAP, Tree, TreeError, _depths, _shown
+from .tree import SIZE_CAP, Tree, TreeError, _assemble, _depths, _shown
 
 ENUM_CAP = 18
 SAMPLE_RETRIES = 1000
@@ -93,17 +93,25 @@ def _representatives(n: int, series_reduced: bool) -> Iterator[bytes]:
                         yield head + b"".join(highs + low).translate(up) + step
 
 
-def _level_edges(levels: Sequence[int]) -> Iterator[Tuple[int, int]]:
-    """(parent, i) for each vertex i > 0: its parent is the last j < i at level[i]-1."""
-    last_at = {levels[0]: 0}
-    for i in range(1, len(levels)):
-        yield last_at[levels[i] - 1], i
-        last_at[levels[i]] = i
-
-
 def tree_from_level_sequence(levels: Sequence[int]) -> Tree:
-    """Build the tree, labelled in preorder."""
-    return Tree(len(levels), _level_edges(levels))
+    """The tree labelled in preorder: i's parent is the last vertex before it one level up, and
+    `adj[i]` lists it, then i's children.  Levels start at 0, each next in 1..(previous + 1)."""
+    if not levels:
+        raise TreeError("vertex count must be a positive integer")
+    if levels[0] != 0:
+        raise TreeError(f"level sequence must start at 0, got {_shown(levels[0])} at index 0")
+    n, top = len(levels), 1  # top: the deepest level that vertex i may take
+    adj, parent, last = [[] for _ in range(n)], [-1] * n, [0] * n  # last[d]: latest at level d
+    for i in range(1, n):
+        d = levels[i]
+        if not 0 < d <= top:
+            raise TreeError(f"level {_shown(d)} at index {i} is not in 1..{top}")
+        p = parent[i] = last[d - 1]
+        adj[p].append(i)
+        adj[i].append(p)
+        last[d], top = i, d + 1
+    return _assemble(tuple(map(tuple, adj)), tuple(parent),
+                     tuple(sorted(range(n), key=levels.__getitem__)))  # breadth-first from 0
 
 
 def centroids(tree: Tree) -> List[int]:

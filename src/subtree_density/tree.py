@@ -29,12 +29,12 @@ class ParseError(TreeError):
 class Tree:
     """Immutable tree with a canonical, lexicographically sorted edge list.
 
-    Construction validates everything: endpoint ranges, no self-loops or
+    `Tree(n, edges)` validates everything: endpoint ranges, no self-loops or
     duplicate edges, exactly n-1 edges, connectivity (acyclicity follows).
     `parent` and `order` are `orient(adj, 0)` as tuples, kept from that check.
     """
 
-    __slots__ = ("n", "edges", "adj", "parent", "order")
+    __slots__ = ("n", "_edges", "adj", "parent", "order")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
@@ -49,13 +49,18 @@ class Tree:
         for u, v in norm:  # sorted (u, v) with u < v keeps every list ascending
             adj[u].append(v)
             adj[v].append(u)
-        self.n = n
-        self.edges = tuple(norm)
+        self.n, self._edges = n, tuple(norm)
         self.adj = tuple(tuple(a) for a in adj)
         parent, order = orient(self.adj, 0)
         if len(order) != n:
             _diagnose(n, edges, norm)
         self.parent, self.order = tuple(parent), tuple(order)
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        if self._edges is None:  # ascending `adj` lists give the pairs in sorted order
+            self._edges = tuple([(u, v) for u, a in enumerate(self.adj) for v in a if u < v])
+        return self._edges
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -68,6 +73,13 @@ class Tree:
 
     def __repr__(self):
         return f"Tree(n={self.n}, edges={list(self.edges)})"
+
+
+def _assemble(adj, parent, order) -> Tree:
+    """A `Tree` of checked fields: ascending `adj` lists, then `orient(adj, 0)` as tuples."""
+    tree = object.__new__(Tree)
+    tree.n, tree._edges, tree.adj, tree.parent, tree.order = len(adj), None, adj, parent, order
+    return tree
 
 
 def _shown(x) -> str:

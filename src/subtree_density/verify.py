@@ -18,10 +18,11 @@ Check ids:
 
 Every comparison is exact; equality detection never uses a tolerance.  Each
 tree gets one down pass from vertex 0, which gives N(T) and the order sum S
-(see `dp.totals`); only C1 and C7-C11, which read alpha(v) and sigma(v) at
-every vertex, reroot from it.  mu = S/N, D = S/(nN), mu' = (S-l)/(N-l+1) and
-lambda = sigma/alpha meet their bounds by integer cross-multiplication
-(lambda only where the integer parts tie); only a witness builds a Fraction.
+(see `dp.totals`); only C1 and C7-C11, which read alpha(v) at every vertex,
+reroot from it, and that pass carries sigma(v) only when C9, C10 or C11, which
+read it, is requested.  mu = S/N, D = S/(nN), mu' = (S-l)/(N-l+1) and lambda =
+sigma/alpha meet their bounds by integer cross-multiplication (lambda only
+where the integer parts tie); only a witness builds a Fraction.
 C10's bound (5n+k+4)/10 is the same at every internal root (k is the
 internal count), and `ranks.rank_bound_numerators` gives C11's bound t/d at
 every root in one rerooting pass, so C10 and C11 are linear per tree.
@@ -63,8 +64,9 @@ class _once(cached_property):
 class _TreeContext:
     """Per-tree values shared by all checks, each computed once; all but `internal` when read."""
 
-    def __init__(self, tree: Tree):
+    def __init__(self, tree: Tree, sigma: bool):
         self.tree = tree
+        self.sigma = sigma  # whether a requested check reads sigma from `sums`
         self.internal = [v for v, a in enumerate(tree.adj) if len(a) >= 2]  # most checks read it
 
     @_once
@@ -85,8 +87,8 @@ class _TreeContext:
         return _root_last_sum(order, down_count), _root_last_sum(order, down_sum)
 
     @_once
-    def sums(self):  # (alpha, sigma) at every vertex: the rerooting pass
-        return _top_down(*self.down)
+    def sums(self):  # (alpha, sigma) at every vertex: the rerooting pass; sigma None if unread
+        return _top_down(*self.down[:3], self.down[3] if self.sigma else None)
 
 
 @dataclass
@@ -310,9 +312,10 @@ def run_checks(trees: Iterable[Tree], checks: Sequence[str],
         raise ValueError(f"unknown check ids: {unknown}")
     outcomes = {c: CheckOutcome(check=c) for c in checks}
     tree_checks = [(outcomes[c], *_TREE_CHECKS[c]) for c in checks if c != "C6"]
+    sigma = not {"C9", "C10", "C11"}.isdisjoint(checks)  # the checks that read sigma
     if tree_checks:
         for tree in trees:
-            ctx = _TreeContext(tree)
+            ctx = _TreeContext(tree, sigma)
             for out, applies, check in tree_checks:
                 out.trees_examined += 1
                 if applies(ctx):

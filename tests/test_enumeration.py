@@ -222,6 +222,69 @@ def reference_enumerate_trees(n, series_reduced=False):
             yield tree
 
 
+def oracle_edges(levels):
+    """(parent, i) for each vertex i > 0: its parent is the last j < i at level[i]-1."""
+    last_at = {levels[0]: 0}
+    for i in range(1, len(levels)):
+        yield last_at[levels[i] - 1], i
+        last_at[levels[i]] = i
+
+
+@st.composite
+def level_sequences(draw, max_n=300):
+    """Valid level sequences: 0, then each level in 1..(the level before it) + 1."""
+    levels = [0]
+    for x in draw(st.lists(st.integers(0, 2 ** 16), max_size=max_n - 1)):
+        levels.append(1 + x % (levels[-1] + 1))
+    return tuple(levels)
+
+
+class TestLevelSequenceBuild:
+    """`tree_from_level_sequence` against `Tree()` over the oracle's edges."""
+
+    @staticmethod
+    def assert_same_tree(levels):
+        want = Tree(len(levels), oracle_edges(levels))
+        # == and hash before `edges` is read, then field by field
+        assert tree_from_level_sequence(levels) == want
+        assert want == tree_from_level_sequence(levels)
+        assert hash(tree_from_level_sequence(levels)) == hash(want)
+        got = tree_from_level_sequence(levels)
+        assert (got.n, got.edges, got.adj, got.parent, got.order) == \
+            (want.n, want.edges, want.adj, want.parent, want.order)
+
+    def test_every_rooted_tree_to_10(self):
+        for n in range(1, 11):
+            for levels in reference_rooted_level_sequences(n):
+                self.assert_same_tree(levels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_sequences())
+    def test_drawn_sequences(self, levels):
+        self.assert_same_tree(levels)
+
+    @pytest.mark.parametrize("levels", [tuple(range(300)), (0,) + (1,) * 299],
+                             ids=["deep", "flat"])
+    def test_extremes(self, levels):
+        self.assert_same_tree(levels)
+
+    def test_bytes_as_the_enumerator_gives_them(self):
+        levels = (0, 1, 2, 2, 1, 2, 3, 1)
+        assert tree_from_level_sequence(bytes(levels)) == tree_from_level_sequence(levels)
+
+    @pytest.mark.parametrize("levels, message", [
+        ((0, 2), "level 2 at index 1 is not in 1..1"),
+        ((0, 1, 0), "level 0 at index 2 is not in 1..2"),
+        ((0, 1, 1, 3), "level 3 at index 3 is not in 1..2"),
+        ((1, 2), "level sequence must start at 0, got 1 at index 0"),
+        ((), "vertex count must be a positive integer"),
+    ], ids=["skips-a-level", "second-root", "skips-past-a-sibling", "starts-at-1", "empty"])
+    def test_bad_sequence_names_its_first_bad_entry(self, levels, message):
+        with pytest.raises(TreeError) as err:
+            tree_from_level_sequence(levels)
+        assert str(err.value) == message
+
+
 class TestCanonicalForm:
     def test_isomorphism_invariance(self):
         t = path(4)
@@ -371,7 +434,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n, series_reduced", [(14, False), (18, True)])
     def test_representative_is_read_off_the_build(self, monkeypatch, n, series_reduced):
-        # no rooting is searched: no `_form`, and one orientation per class, in `Tree()`
+        # no rooting is searched and nothing is oriented: no `_form`, and no `orient`,
+        # since the level sequence gives each tree's breadth-first order
         calls = {"_form": 0, "orient": 0}
 
         def counted(module, name):
@@ -385,7 +449,9 @@ class TestEnumeration:
         counted(enumeration, "_form")
         counted(tree_module, "orient")
         classes = sum(1 for _ in enumerate_trees(n, series_reduced=series_reduced))
-        assert calls == {"_form": 0, "orient": classes}
+        counts = SERIES_REDUCED_COUNTS if series_reduced else FREE_TREE_COUNTS
+        assert classes == counts[n - 1]
+        assert calls == {"_form": 0, "orient": 0}
 
     @pytest.mark.parametrize("series_reduced, top", sorted(ENUMERATION_DIGESTS))
     def test_trees_labels_and_order_keep_their_bytes(self, series_reduced, top):

@@ -173,8 +173,9 @@ class TestRunChecks:
 
 class TestRootedChecksCost:
     """One down pass per tree gives N and S to every check, and only C1 and
-    C7-C11 reroot from it, once per tree: a tree is oriented once, when it is
-    built, not once per check, per pass or per root."""
+    C7-C11 reroot from it, once per tree, carrying sigma only for C9-C11: a
+    tree is oriented once, when it is built, not once per check, per pass or
+    per root."""
 
     @staticmethod
     def _count_calls(monkeypatch, module, name):
@@ -215,6 +216,9 @@ class TestRootedChecksCost:
         assert all(o.trees_applicable == len(trees) for o in report.outcomes)
         assert [args[0] for args in down] == trees
         assert len(rerooted) == (len(trees) if set(checks) & set(VERTEX_CHECKS) else 0)
+        # down_sum only goes to the rerooting pass when a check reads sigma
+        reads_sigma = bool(set(checks) & {"C9", "C10", "C11"})
+        assert [args[3] is not None for args in rerooted] == [reads_sigma] * len(rerooted)
 
     def test_fraction_constructions_bounded(self, monkeypatch):
         # a Fraction per vertex would be about 2n; without a witness no check builds one
