@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .rationals import _int_text, ratio_json
@@ -196,10 +197,41 @@ def _root_last_sum(order, values) -> int:
     return sum(map(values.__getitem__, reversed(order)))
 
 
+class _once(cached_property):
+    """`cached_property` without the per-instance lock that Python 3.11 takes on a first read."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # read on the class, as a test's monkeypatch does
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
+
+
+class Tables:
+    """A tree's passes from vertex 0, each run once, when first read: `down`, the down
+    pass; `totals`, (N(T), S) summed from it with the root last; `sums`, (alpha, sigma)
+    at every vertex from one rerooting pass, with sigma None unless `sigma` is set."""
+
+    def __init__(self, tree: Tree, sigma: bool = True):
+        self.tree, self.sigma = tree, sigma
+
+    @_once
+    def down(self):
+        return _down_pass(self.tree, 0)
+
+    @_once
+    def totals(self) -> Tuple[int, int]:
+        _, order, down_count, down_sum = self.down
+        return _root_last_sum(order, down_count), _root_last_sum(order, down_sum)
+
+    @_once
+    def sums(self):
+        return _top_down(*self.down[:3], self.down[3] if self.sigma else None)
+
+
 def totals(tree: Tree) -> Tuple[int, int]:
     """(N(T), S) from one down pass: each subtree counted once, at its vertex nearest the root."""
-    _, order, down_count, down_sum = _down_pass(tree, 0)
-    return _root_last_sum(order, down_count), _root_last_sum(order, down_sum)
+    return Tables(tree).totals
 
 
 def global_stats(tree: Tree) -> SubtreeStats:
@@ -211,8 +243,8 @@ def global_stats(tree: Tree) -> SubtreeStats:
 
 def vertex_sums(tree: Tree) -> Tuple[List[int], List[int], int]:
     """(alpha, sigma, N(T)): ints from one O(n) pass; lambda(T, v) = sigma[v] / alpha[v]."""
-    parent, order, down_count, down_sum = _down_pass(tree, 0)
-    return (*_top_down(parent, order, down_count, down_sum), _root_last_sum(order, down_count))
+    tables = Tables(tree)
+    return (*tables.sums, tables.totals[0])
 
 
 def vertex_view(tree: Tree, v: int) -> VertexSubtreeView:
@@ -250,7 +282,7 @@ def good_anchor(tree: Tree, containment: Sequence[int], total: int) -> Optional[
     is needed: every subtree containing an edge e contains its endpoint w,
     so alpha(T,w) >= alpha(T,e) and alpha_bar(T,w) <= alpha_bar(T,e), and an
     edge with 2*alpha(T,e) >= n*alpha_bar(T,e) makes each internal endpoint
-    pass the vertex test.  `containment` and `total` are alpha and N(T) from `global_stats`.
+    pass the vertex test.  `containment` and `total` are alpha and N(T), as `Tables` gives them.
     """
     n = tree.n
     for v, a in enumerate(tree.adj):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .tree import Tree, orient
+from .tree import Tree, _check_root, orient
 
 
 @lru_cache(maxsize=16)  # an entry holds `count` ints below d, 46 kbit at count 302
@@ -107,7 +107,6 @@ def rank_bound_numerators(tree: Tree) -> Tuple[List[int], int]:
 def simple_lower_bound(tree: Tree, root: int) -> Fraction:
     """(n+1)/2 + (k-1)/10 with k the non-leaf count, root never a leaf."""
     n = tree.n
-    if n == 1:
-        return Fraction(1)
+    _check_root(n, root)
     k = sum(1 for v in range(n) if v == root or tree.degree(v) >= 2)
     return Fraction(n + 1, 2) + Fraction(k - 1, 10)

@@ -176,6 +176,12 @@ def parse_trees(text: str) -> List[Tree]:
     return trees
 
 
+def _check_root(n: int, root: int) -> None:
+    """Raise `TreeError` unless `root` is a vertex of an n-vertex tree."""
+    if not 0 <= root < n:
+        raise TreeError(f"root {_shown(root)} is not a vertex in 0..{_shown(n - 1)}")
+
+
 def orient(adj: Sequence[Sequence[int]], root: int) -> Tuple[List[int], List[int]]:
     """Parent array (-1 at the root) and breadth-first discovery order from `root`.
 
@@ -184,6 +190,7 @@ def orient(adj: Sequence[Sequence[int]], root: int) -> Tuple[List[int], List[int
     top-down and walking it backwards meets children first; a vertex's
     children sit next to each other, in `adj` order.
     """
+    _check_root(len(adj), root)
     parent = [-2] * len(adj)
     parent[root] = -1
     order = [root]

@@ -16,13 +16,13 @@ Check ids:
                            attained by the six-vertex double star, so C12
                            reports it as a violation
 
-Every comparison is exact; equality detection never uses a tolerance.  Each
-tree gets one down pass from vertex 0, which gives N(T) and the order sum S
-(see `dp.totals`); only C1 and C7-C11, which read alpha(v) at every vertex,
-reroot from it, and that pass carries sigma(v) only when C9, C10 or C11, which
-read it, is requested.  mu = S/N, D = S/(nN), mu' = (S-l)/(N-l+1) and lambda =
-sigma/alpha meet their bounds by integer cross-multiplication (lambda only
-where the integer parts tie); only a witness builds a Fraction.
+Every comparison is exact; equality detection never uses a tolerance.  A
+tree's `dp.Tables` is the one owner of N(T), the order sum S, alpha(v) and
+sigma(v): its down pass from vertex 0 gives N and S, and only C1 and C7-C11,
+which read alpha(v), reroot, carrying sigma(v) only for C9, C10 or C11.
+mu = S/N, D = S/(nN), mu' = (S-l)/(N-l+1) and lambda = sigma/alpha meet their
+bounds by integer cross-multiplication (lambda only where the integer parts
+tie); only a witness builds a Fraction.
 C10's bound (5n+k+4)/10 is the same at every internal root (k is the
 internal count), and `ranks.rank_bound_numerators` gives C11's bound t/d at
 every root in one rerooting pass, so C10 and C11 are linear per tree.
@@ -35,10 +35,9 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
-from .dp import _down_pass, _root_last_sum, _top_down, good_anchor
+from .dp import Tables, good_anchor
 from .dp import vertex_view  # noqa: F401  perfbench/test_perfbench.py reads verify.vertex_view
 from .enumeration import canonical_form
 from .rationals import _int_text, format_ratio
@@ -51,44 +50,16 @@ ALL_CHECKS = ("C1", "C2", "C3", "C4", "C5", "C6",
 STPOLY_MAX = 64
 
 
-class _once(cached_property):
-    """`cached_property` without the per-instance lock that Python 3.11 takes on a first read."""
-
-    def __get__(self, ctx, owner=None):
-        if ctx is None:  # read on the class, as a test's monkeypatch does
-            return self
-        value = ctx.__dict__[self.attrname] = self.func(ctx)
-        return value
-
-
-class _TreeContext:
-    """Per-tree values shared by all checks, each computed once; all but `internal` when read."""
+class _TreeContext(Tables):
+    """A tree's `dp.Tables`, its internal vertices and, for a witness, its canonical form."""
 
     def __init__(self, tree: Tree, sigma: bool):
-        self.tree = tree
-        self.sigma = sigma  # whether a requested check reads sigma from `sums`
+        self.tree, self.sigma = tree, sigma  # sigma: whether a requested check reads it
         self.internal = [v for v, a in enumerate(tree.adj) if len(a) >= 2]  # most checks read it
 
-    @_once
+    @cached_property
     def code(self):
         return canonical_form(self.tree)
-
-    @_once
-    def series_reduced(self):
-        return is_series_reduced(self.tree)
-
-    @_once
-    def down(self):
-        return _down_pass(self.tree, 0)
-
-    @_once
-    def totals(self):  # (N, S), as `dp.totals` gives them
-        _, order, down_count, down_sum = self.down
-        return _root_last_sum(order, down_count), _root_last_sum(order, down_sum)
-
-    @_once
-    def sums(self):  # (alpha, sigma) at every vertex: the rerooting pass; sigma None if unread
-        return _top_down(*self.down[:3], self.down[3] if self.sigma else None)
 
 
 @dataclass
@@ -128,9 +99,8 @@ class VerificationReport:
         lines = ["check   examined  applicable  violations  equalities  status"]
         for o in self.outcomes:
             status = "pass" if o.passed else "FAIL"
-            lines.append(
-                f"{o.check:<8}{o.trees_examined:>8}{o.trees_applicable:>12}"
-                f"{len(o.violations):>12}{len(o.equality_cases):>12}  {status}")
+            lines.append(f"{o.check:<8}{o.trees_examined:>8}{o.trees_applicable:>12}"
+                         f"{len(o.violations):>12}{len(o.equality_cases):>12}  {status}")
         return lines
 
 
@@ -181,26 +151,27 @@ def _check_c5(ctx, out):
                                        bound=(15 * n - 8 * twigs, 20)))
 
 
-def _check_c7(ctx, out):
-    alpha, total = ctx.sums[0], ctx.totals[0]
+def _check_alpha_floor(ctx, out, bound, exact, name, count):
+    """alpha(T, v) >= bound at each internal root v, met only if `exact`; witnesses show `count`."""
+    alpha = ctx.sums[0]
     for v in ctx.internal:
-        if 2 * alpha[v] < total:
+        if alpha[v] < bound:
             out.violations.append(_witness(ctx, vertex=v, alpha=_int_text(alpha[v]),
-                                           subtree_count=_int_text(total)))
-        elif 2 * alpha[v] == total:
+                                           **{name: _int_text(count)}))
+        elif alpha[v] == bound and exact:
             out.equality_cases.append(_witness(ctx, vertex=v))
+
+
+def _check_c7(ctx, out):
+    # 2 alpha >= N is alpha >= ceil(N/2), and 2 alpha == N needs N even
+    total = ctx.totals[0]
+    _check_alpha_floor(ctx, out, -(-total // 2), total % 2 == 0, "subtree_count", total)
 
 
 def _check_c8(ctx, out):
-    alpha = ctx.sums[0]
     leaf_count = ctx.tree.n - len(ctx.internal)
     floor = ctx.tree.n - leaf_count - 1 + 2 ** leaf_count
-    for v in ctx.internal:
-        if alpha[v] < floor:
-            out.violations.append(_witness(ctx, vertex=v, alpha=_int_text(alpha[v]),
-                                           floor=_int_text(floor)))
-        elif alpha[v] == floor:
-            out.equality_cases.append(_witness(ctx, vertex=v))
+    _check_alpha_floor(ctx, out, floor, True, "floor", floor)
 
 
 def _check_c9(ctx, out):
@@ -249,41 +220,29 @@ def _check_c12(ctx, out):
         out.violations.append(_witness(ctx, density=(s, nn)))
 
 
-_series_reduced = attrgetter("series_reduced")
-_has_internal = attrgetter("internal")  # true when the list is not empty
-
-
-def _n_at_least_4(ctx):
-    return ctx.tree.n >= 4
-
-
-def _series_reduced_n30(ctx):
-    return ctx.series_reduced and ctx.tree.n >= 30
-
-
-# check id -> (does it apply to this tree, the check); a tree counts as
-# applicable, and the check runs on it, exactly when the first is true
+# check id -> (least n, series-reduced trees only, reads sigma, the check); a
+# tree counts as applicable, and the check runs on it, exactly when it meets
+# both rules.  A series-reduced tree has n >= 4, and n >= 3 an internal vertex.
 _TREE_CHECKS = {
-    "C1": (_n_at_least_4, _check_c1),
-    "C2": (_series_reduced, _check_c2),
-    "C3": (_series_reduced, _check_c3),
-    "C4": (_n_at_least_4, _check_c4),
-    "C5": (_series_reduced, _check_c5),
-    "C7": (_series_reduced, _check_c7),
-    "C8": (_has_internal, _check_c8),
-    "C9": (_series_reduced_n30, _check_c9),
-    "C10": (_series_reduced, _check_c10),
-    "C11": (_series_reduced, _check_c11),
-    "C12": (_series_reduced, _check_c12),
+    "C1": (4, False, False, _check_c1),
+    "C2": (4, True, False, _check_c2),
+    "C3": (4, True, False, _check_c3),
+    "C4": (4, False, False, _check_c4),
+    "C5": (4, True, False, _check_c5),
+    "C7": (4, True, False, _check_c7),
+    "C8": (3, False, False, _check_c8),
+    "C9": (30, True, True, _check_c9),
+    "C10": (4, True, True, _check_c10),
+    "C11": (4, True, True, _check_c11),
+    "C12": (4, True, False, _check_c12),
 }
 
 
 def check_stpoly() -> CheckOutcome:
     """(2^a + a 2^(a-1)) / (2^a + 1) <= (28a + 16)/45 for integer a in [2, STPOLY_MAX]."""
     out = CheckOutcome(check="C6")
+    out.trees_examined = out.trees_applicable = STPOLY_MAX - 1
     for a in range(2, STPOLY_MAX + 1):
-        out.trees_examined += 1
-        out.trees_applicable += 1
         lhs = Fraction(2 ** a + a * 2 ** (a - 1), 2 ** a + 1)
         rhs = Fraction(28 * a + 16, 45)
         if lhs > rhs:
@@ -311,14 +270,15 @@ def run_checks(trees: Iterable[Tree], checks: Sequence[str],
     if unknown:
         raise ValueError(f"unknown check ids: {unknown}")
     outcomes = {c: CheckOutcome(check=c) for c in checks}
-    tree_checks = [(outcomes[c], *_TREE_CHECKS[c]) for c in checks if c != "C6"]
-    sigma = not {"C9", "C10", "C11"}.isdisjoint(checks)  # the checks that read sigma
-    if tree_checks:
+    rows = [(outcomes[c], *_TREE_CHECKS[c]) for c in checks if c != "C6"]
+    any_reduced_only, sigma = (any(row[i] for row in rows) for i in (2, 3))
+    if rows:
         for tree in trees:
             ctx = _TreeContext(tree, sigma)
-            for out, applies, check in tree_checks:
+            reduced = any_reduced_only and is_series_reduced(tree)  # once, and only if read
+            for out, least, reduced_only, _, check in rows:
                 out.trees_examined += 1
-                if applies(ctx):
+                if tree.n >= least and (reduced or not reduced_only):
                     out.trees_applicable += 1
                     check(ctx, out)
     if "C6" in outcomes:
@@ -327,8 +287,4 @@ def run_checks(trees: Iterable[Tree], checks: Sequence[str],
         o.violations.sort(key=_sort_key)
         o.equality_cases.sort(key=_sort_key)
     ordered = [outcomes[c] for c in ALL_CHECKS if c in outcomes]
-    return VerificationReport(
-        config=dict(config or {}),
-        outcomes=ordered,
-        elapsed_seconds=time.monotonic() - start,
-    )
+    return VerificationReport(dict(config or {}), ordered, time.monotonic() - start)

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from subtree_density import dp
 from subtree_density.dp import (
     SubtreeStats,
+    Tables,
     all_containment_counts,
     edge_counts,
     global_stats,
@@ -30,6 +32,11 @@ K13 = star(3)
 
 
 class TestRootedCounts:
+    @pytest.mark.parametrize("root", [-1, 7])
+    def test_root_is_a_vertex(self, root):
+        with pytest.raises(TreeError, match=rf"^root {root} is not a vertex in 0\.\.4$"):
+            rooted_counts(path(5), root)
+
     def test_single_vertex(self):
         rc = rooted_counts(path(1), 0)
         assert rc.alpha_root == 1 and rc.alpha_bar_root == 0
@@ -129,7 +136,37 @@ class TestTotals:
         assert totals(t) == (total, sum(alpha))
 
 
+class TestTables:
+    """`Tables` runs a tree's down pass once and reads N, S, alpha and sigma off it."""
+
+    @given(random_trees(30))
+    @settings(max_examples=40, deadline=None)
+    def test_without_sigma(self, t):
+        alpha, sigma = Tables(t, sigma=False).sums
+        assert sigma is None and alpha == vertex_sums(t)[0]
+
+    @given(random_trees(30))
+    @settings(max_examples=40, deadline=None)
+    def test_totals(self, t):
+        stats = global_stats(t)  # its own alpha-only passes, apart from `Tables`
+        assert Tables(t).totals == totals(t) == (stats.subtree_count, stats.order_sum)
+
+    def test_one_down_pass(self, monkeypatch):
+        calls, original = [], dp._down_pass
+        monkeypatch.setattr(dp, "_down_pass", lambda *args: calls.append(args) or original(*args))
+        t = sample_series_reduced(40, 0)
+        tables = Tables(t)
+        (alpha, sigma), (total, s) = tables.sums, tables.totals
+        assert calls == [(t, 0)]
+        assert (alpha, sigma, total) == vertex_sums(t) and s == sum(alpha)
+
+
 class TestVertexView:
+    @pytest.mark.parametrize("root", [-1, 5])
+    def test_root_is_a_vertex(self, root):
+        with pytest.raises(TreeError, match=rf"^root {root} is not a vertex in 0\.\.4$"):
+            vertex_view(path(5), root)
+
     def test_k13_center(self):
         v = vertex_view(K13, 0)
         assert v.alpha == 8 and v.lam == Fraction(5, 2)

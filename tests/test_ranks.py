@@ -14,7 +14,7 @@ from subtree_density.ranks import (
     rank_profile,
     simple_lower_bound,
 )
-from subtree_density.tree import orient
+from subtree_density.tree import TreeError, orient
 
 from test_tree import path, random_trees, star
 from test_verify import caterpillar
@@ -30,6 +30,15 @@ def _rank_histogram(t, root):
 
     ranks = [height(v, parent[v]) for v in range(t.n) if v != root]
     return tuple(ranks.count(j) for j in range(max(ranks, default=-1) + 1))
+
+
+@pytest.mark.parametrize("root", [-2, 5, 9])
+@pytest.mark.parametrize("fn", [rank_profile, rank_lower_bound, simple_lower_bound],
+                         ids=lambda fn: fn.__name__)
+def test_root_is_a_vertex(fn, root):
+    # rank_profile(path(5), -2) gave (2, 0, 2, 1), a histogram that no rooting gives
+    with pytest.raises(TreeError, match=rf"^root {root} is not a vertex in 0\.\.4$"):
+        fn(path(5), root)
 
 
 class TestRankProfile:

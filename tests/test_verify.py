@@ -171,6 +171,24 @@ class TestRunChecks:
         assert [o.check for o in report.outcomes] == list(ALL_CHECKS)
 
 
+@pytest.mark.parametrize("total", [20, 21, 64, 65])
+@pytest.mark.parametrize("alpha0", [9, 10, 11, 31, 32, 33])
+def test_alpha_floor_checks_match_fractions(monkeypatch, alpha0, total):
+    # C7 (2 alpha >= N) and C8 (alpha >= 32 on star(5)) at the centre, the one internal root,
+    # each against its bound as a Fraction: N/2 with an odd N is never attained
+    t = star(5)
+    alpha, sigma, _ = vertex_sums(t)
+    inject_tables(monkeypatch, ([alpha0] + alpha[1:], sigma), (total, sum(alpha)))
+    report = run_checks([t], ["C7", "C8"])
+    for check, bound, shown in (("C7", Fraction(total, 2), {"subtree_count": str(total)}),
+                                ("C8", 32, {"floor": "32"})):
+        out = outcome(report, check)
+        witness = {"vertex": 0, "alpha": str(alpha0), **shown}
+        assert [{k: w[k] for k in witness} for w in out.violations] == \
+            ([witness] if alpha0 < bound else [])
+        assert [w["vertex"] for w in out.equality_cases] == ([0] if alpha0 == bound else [])
+
+
 class TestRootedChecksCost:
     """One down pass per tree gives N and S to every check, and only C1 and
     C7-C11 reroot from it, once per tree, carrying sigma only for C9-C11: a
