@@ -4,7 +4,8 @@ Each free tree is built once, around its centre (Jordan 1869), from pooled roote
 Wright, Richmond, Odlyzko and McKay (1986) generate them: with diameter 2R, a centre above
 branches of height at most R - 1, two of them that tall; with diameter 2h + 1, two halves
 of height h joined at the central edge.  Each class's representative is read off its build.
-Canonical forms are `_form` strings, compared as level sequences.
+Canonical forms are `_form` strings, compared as level sequences.  A sample is read off a
+random Pruefer sequence (Pruefer 1918) by one decode that splices out its degree-2 chains.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from itertools import repeat
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .tree import SIZE_CAP, Tree, TreeError, _assemble, _depths, _shown
+from .tree import SIZE_CAP, Tree, TreeError, _assemble, _depths, _shown, orient
 
 ENUM_CAP = 18
 SAMPLE_RETRIES = 1000
@@ -175,49 +176,40 @@ def enumerate_trees(n: int, series_reduced: bool = False) -> Iterator[Tree]:
         yield tree_from_level_sequence(form)
 
 
-def _prufer_neighbours(seq: Sequence[int], n: int) -> List[List[int]]:
-    """Neighbour lists of the labeled tree on n >= 2 vertices with Pruefer sequence `seq`.
+def _spliced(seq: Sequence[int], degree: List[int]) -> Tree:
+    """The labeled tree with Pruefer sequence `seq` and degrees `degree`, with each maximal
+    chain of degree-2 vertices spliced into one edge and the kept vertices numbered 0..k-1 in
+    label order, built in one decode that uses up `degree`.
 
-    Linear: `ptr` only moves up; an x that turns into a leaf below it is the smallest leaf."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    adj = [[] for _ in range(n)]
+    The decode is linear: `ptr` only moves up; an x that turns into a leaf below it is the
+    smallest leaf.  Each leaf it removes hangs from its entry, below vertex n - 1, the root:
+    `up[v]` is the kept end of the chain from v down, v itself if it is kept, else what its
+    one child passed up.  A degree-2 root joins its two chains."""
+    n = len(degree)
+    up, k = [-1] * n, 0
+    for v, d in enumerate(degree):
+        if d != 2:
+            up[v], k = k, k + 1
+    adj = [[] for _ in range(k)]
     leaf = ptr = degree.index(1)
     for x in seq:
-        adj[leaf].append(x)
-        adj[x].append(leaf)
+        u, w = up[leaf], up[x]
+        if w < 0:
+            up[x] = u
+        else:
+            adj[u].append(w)
+            adj[w].append(u)
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
         else:
             leaf = ptr = degree.index(1, ptr + 1)
-    adj[leaf].append(n - 1)
-    adj[n - 1].append(leaf)
-    return adj
-
-
-def _suppressed(adj: Sequence[Sequence[int]]) -> Tuple[int, List[Tuple[int, int]]]:
-    """(vertex count, edges) of the tree `adj` with its degree-2 vertices spliced out.
-
-    Vertices of degree != 2 are kept and relabeled 0..k-1 in original
-    label order; each maximal chain of degree-2 vertices becomes one edge.
-    Every tree keeps at least one vertex: a leaf, or its single vertex.
-    """
-    kept = [v for v, a in enumerate(adj) if len(a) != 2]
-    index = [0] * len(adj)
-    for i, v in enumerate(kept):
-        index[v] = i
-    edges = []  # each chain once, from its smaller end; `Tree` sorts them
-    for u in kept:
-        for w in adj[u]:
-            prev, cur = u, w
-            while len(adj[cur]) == 2:
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-            if u < cur:
-                edges.append((index[u], index[cur]))
-    return len(kept), edges
+    u, w = up[leaf], up[n - 1]
+    adj[u].append(w)
+    adj[w].append(u)
+    adj = tuple(map(tuple, map(sorted, adj)))  # ascending, as `Tree` builds them
+    parent, order = orient(adj, 0)
+    return _assemble(adj, tuple(parent), tuple(order))
 
 
 def _draws(rng: random.Random, size: int, count: int) -> List[int]:
@@ -235,8 +227,10 @@ def sample_series_reduced(n_target: int, seed: int) -> Tree:
 
     Draws uniform labeled trees on n_target + slack vertices and suppresses
     degree-2 vertices; grows the slack until the reduction is large enough.
-    Each draw stays a neighbour list: only the reduced tree it returns is a `Tree`.
-    The Pruefer entries are the values `rng.randrange(size)` would give.
+    A draw's degrees alone give its kept count, so only the draw it returns is
+    decoded, straight into the reduced tree.  The Pruefer entries are the values
+    `rng.randrange(size)` would give.  Given the size K of the result, each
+    labeled series-reduced tree on K vertices is equally likely.
     """
     if n_target < 4:
         raise TreeError("sample_series_reduced requires n_target >= 4")
@@ -246,8 +240,11 @@ def sample_series_reduced(n_target: int, seed: int) -> Tree:
     rng = random.Random(seed)
     size = max(n_target + 4, (n_target * 5) // 3)
     for _ in range(SAMPLE_RETRIES):
-        n, edges = _suppressed(_prufer_neighbours(_draws(rng, size, size - 2), size))
-        if n >= n_target:  # kept vertices keep their degrees, none of them 2
-            return Tree(n, edges)
+        seq = _draws(rng, size, size - 2)
+        degree = [1] * size
+        for x in seq:
+            degree[x] += 1
+        if size - degree.count(2) >= n_target:  # an entry drawn once is a degree-2 vertex
+            return _spliced(seq, degree)
         size += max(1, size // 10)
     raise TreeError(f"failed to sample a series-reduced tree after {SAMPLE_RETRIES} retries")

@@ -1,8 +1,10 @@
 import hashlib
 import heapq
 import itertools
+import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +15,8 @@ from subtree_density.enumeration import (
     SAMPLE_RETRIES,
     FORM_CAP,
     _draws,
-    _prufer_neighbours,
     _rooted_pool,
-    _suppressed,
+    _spliced,
     canonical_form,
     centroids,
     enumerate_trees,
@@ -23,9 +24,10 @@ from subtree_density.enumeration import (
     sample_series_reduced,
     tree_from_level_sequence,
 )
-from subtree_density.tree import Tree, TreeError, _depths, is_series_reduced, orient, serialize
+from subtree_density.tree import (
+    Tree, TreeError, _assemble, _depths, is_series_reduced, orient, serialize)
 
-from test_tree import path, prufer_tree, random_trees, star
+from test_tree import path, prufer_neighbours, prufer_tree, random_trees, star
 from test_verify import caterpillar
 
 # free trees up to isomorphism on 1..14 vertices (OEIS A000055)
@@ -152,6 +154,19 @@ def reference_splice(adj):
             nbrs[b].add(a)
     number = {v: i for i, v in enumerate(sorted(nbrs))}
     return Tree(len(number), [(number[u], number[w]) for u in nbrs for w in nbrs[u] if u < w])
+
+
+def spliced(seq, n):
+    """The sampler's splice of the labeled tree on n >= 2 vertices with Pruefer sequence `seq`."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    return _spliced(seq, degree)
+
+
+def fields(tree):
+    """Every field of a `Tree`; `==` compares only n and the edges."""
+    return tree.n, tree.edges, tree.adj, tree.parent, tree.order
 
 
 def reference_sample(n, seed):
@@ -476,19 +491,20 @@ class TestEnumeration:
 
 class TestSampling:
     def test_prufer_decode(self):
-        # sequence (3, 3) on 4 vertices is the star centered at 3
-        assert _prufer_neighbours([3, 3], 4) == [[3], [3], [3], [0, 1, 2]]
+        # sequence (3, 3) on 4 vertices is the star centered at 3, and keeps every vertex
+        assert prufer_neighbours([3, 3], 4) == [[3], [3], [3], [0, 1, 2]]
+        assert fields(spliced([3, 3], 4)) == fields(Tree(4, [(0, 3), (1, 3), (2, 3)]))
 
     def test_prufer_decode_matches_heap_reference(self):
         # the same (leaf, entry) pairs in the same order give equal neighbour lists
         for n in range(2, 8):
             for seq in itertools.product(range(n), repeat=n - 2):
-                assert _prufer_neighbours(seq, n) == reference_prufer_neighbours(seq, n)
+                assert prufer_neighbours(seq, n) == reference_prufer_neighbours(seq, n)
         rng = random.Random(11)
         for n in (8, 9, 30, 301, 3000):
             for alphabet in (n, max(1, n // 10), 2):  # uniform, then few repeated entries
                 seq = [rng.randrange(alphabet) for _ in range(n - 2)]
-                assert _prufer_neighbours(seq, n) == reference_prufer_neighbours(seq, n)
+                assert prufer_neighbours(seq, n) == reference_prufer_neighbours(seq, n)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 255, 256, 257, 1023, 1024, 1025])
     def test_draws_match_randrange(self, size):
@@ -503,16 +519,49 @@ class TestSampling:
         # spider with subdivided legs: interior path vertices get spliced out,
         # and the kept 0, 2, 3, 6 become 0, 1, 2, 3
         t = Tree(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
-        assert Tree(*_suppressed(t.adj)) == Tree(4, [(0, 1), (1, 2), (1, 3)])
+        assert prufer_tree([1, 2, 2, 4, 5], 7) == t
+        assert fields(spliced([1, 2, 2, 4, 5], 7)) == fields(Tree(4, [(0, 1), (1, 2), (1, 3)]))
 
     def test_suppress_path_two_kept(self):
-        assert Tree(*_suppressed(path(5).adj)) == path(2)
+        assert prufer_tree([1, 2, 3], 5) == path(5)
+        assert fields(spliced([1, 2, 3], 5)) == fields(path(2))
 
     def test_splice_matches_reference(self):
-        for n in range(1, 8):
-            for seq in itertools.product(range(n), repeat=max(0, n - 2)):
-                adj = reference_prufer_neighbours(seq, n) if n > 1 else [[]]
-                assert Tree(*_suppressed(adj)) == reference_splice(adj)
+        # every field, on every labeled tree with n <= 7, then on long draws: few
+        # repeated entries, and mostly distinct ones, whose degree-2 chains are long
+        def check(seq, n):
+            ours = spliced(seq, n)
+            assert fields(ours) == fields(reference_splice(reference_prufer_neighbours(seq, n)))
+            return ours.n
+
+        for n in range(2, 8):
+            for seq in itertools.product(range(n), repeat=n - 2):
+                check(seq, n)
+        rng, top_joins, long_chains = random.Random(12), 0, 0
+        for n in (8, 9, 30, 301, 3000):
+            for alphabet in (n, max(1, n // 10), 2):
+                check([rng.randrange(alphabet) for _ in range(n - 2)], n)
+            for gap in (3, 20, 200):  # every gap-th entry from {0, 1, 2}
+                seq = rng.sample(range(n), n - 2)
+                seq[::gap] = [rng.randrange(3) for _ in seq[::gap]]
+                top_joins += seq.count(n - 1) == 1  # vertex n - 1 has degree 2
+                long_chains += 10 * check(seq, n) < n
+        assert top_joins >= 5 and long_chains >= 4
+
+    def test_splice_law(self):
+        # a labeled tree on m vertices splices to a class T on k vertices in
+        # labelled(T) * m!/k! * C(m - 2, k - 2) ways: number the kept vertices as a copy
+        # of T, then spread the other m - k as ordered chains over T's k - 1 edges
+        labelled = Counter()  # labeled trees on k vertices per class
+        for k in range(2, 8):
+            for seq in itertools.product(range(k), repeat=k - 2):
+                labelled[canonical_form(prufer_tree(seq, k))] += 1
+        kept = {f for f in labelled if 2 not in map(len, tree_from_level_sequence(f).adj)}
+        for m in range(2, 8):
+            got = Counter(canonical_form(spliced(seq, m))
+                          for seq in itertools.product(range(m), repeat=m - 2))
+            assert got == {f: labelled[f] * math.factorial(m) // math.factorial(len(f))
+                           * math.comb(m - 2, len(f) - 2) for f in kept if len(f) <= m}
 
     def test_sample_postconditions(self):
         t = sample_series_reduced(30, seed=42)
@@ -534,7 +583,9 @@ class TestSampling:
     def test_sample_builds_only_the_tree_it_returns(self, monkeypatch):
         # at n = 30, seeds 0, 2 and 17 reject one, one and two draws
         built, draws = [], []
-        monkeypatch.setattr(enumeration, "Tree", lambda *a: built.append(a) or Tree(*a))
+        monkeypatch.setattr(enumeration, "Tree", None)  # no draw is validated again
+        monkeypatch.setattr(enumeration, "_assemble",
+                            lambda *a: built.append(a) or _assemble(*a))
         monkeypatch.setattr(enumeration, "_draws", lambda *a: draws.append(a) or _draws(*a))
         for seed in (0, 2, 17):
             assert sample_series_reduced(30, seed) == reference_sample(30, seed)

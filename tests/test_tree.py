@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subtree_density import families
-from subtree_density.enumeration import _prufer_neighbours, enumerate_trees
+from subtree_density.enumeration import enumerate_trees
 from subtree_density.tree import (
     ParseError,
     Tree,
@@ -32,9 +32,31 @@ def star(m):
     return Tree(m + 1, [(0, i) for i in range(1, m + 1)])
 
 
+def prufer_neighbours(seq, n):
+    """Neighbour lists of the labeled tree on n >= 2 vertices with Pruefer sequence `seq`.
+
+    Linear: `ptr` only moves up; an x that turns into a leaf below it is the smallest leaf."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    adj = [[] for _ in range(n)]
+    leaf = ptr = degree.index(1)
+    for x in seq:
+        adj[leaf].append(x)
+        adj[x].append(leaf)
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    adj[leaf].append(n - 1)
+    adj[n - 1].append(leaf)
+    return adj
+
+
 def prufer_tree(seq, n):
     """The labeled tree on n >= 2 vertices with Pruefer sequence `seq`."""
-    adj = _prufer_neighbours(seq, n)
+    adj = prufer_neighbours(seq, n)
     return Tree(n, [(u, w) for u, a in enumerate(adj) for w in a if u < w])
 
 
