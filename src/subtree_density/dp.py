@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .rationals import _int_text, ratio_json
+from .rationals import _SHORT, _int_text, _leaf_rule_text, ratio_json
 from .tree import Tree, TreeError, orient
 
 
@@ -66,14 +66,16 @@ class SubtreeStats:
         """The stats with every count as a decimal string, at any digit count.
 
         Each run of one int object is converted once, and equal values held
-        in different objects share one string: a star's leaves cost one.
+        in different objects share one string: a star's leaves cost one.  A
+        count past 600 digits whose leaf partner is already text takes its
+        digits from the partner's (see `_long_count_text`).
         """
         text, containment, prev = {}, [], None
         for c in self.containment:
             if c is not prev:
                 s = text.get(c)
                 if s is None:
-                    s = text[c] = _int_text(c)
+                    s = text[c] = str(c) if c < _SHORT else _long_count_text(c, text)
                 prev = c
             containment.append(s)
         out = {
@@ -89,6 +91,22 @@ class SubtreeStats:
             out["s_prime_count"] = _int_text(self.s_prime_count)
             out["s_prime_order_sum"] = _int_text(self.s_prime_order_sum)
         return out
+
+
+def _long_count_text(x: int, text: dict) -> str:
+    """The digits of a count x of more than 600 digits, given the counts in `text`.
+
+    A leaf with neighbour c has alpha = alpha(c) / 2 + 1: each subtree holding
+    c takes the leaf or not, and the leaf alone adds one.  So x and 2x - 2 are
+    partners, whichever comes first in vertex order; if one is already text,
+    x takes its digits from the partner's in linear time.
+    """
+    if not x & 1:
+        s = text.get(x // 2 + 1)
+        if s is not None:
+            return _leaf_rule_text(s, halve=False)
+    s = text.get(2 * x - 2)
+    return _int_text(x) if s is None else _leaf_rule_text(s, halve=True)
 
 
 def _run_sum(values: Sequence[int]) -> int:

@@ -348,11 +348,25 @@ class TestContainmentRuns:
     def test_random(self, t):
         _assert_totals_and_text(t)
 
+    # the last three pass 600 digits, so their leaves take their neighbours' digits
+    # (star_chain-700, star-3000) or hand theirs to the neighbour (centre-mid-range-3000)
     @pytest.mark.parametrize("make", [
         lambda: _centre_mid_range(40), lambda: broom(10, 30), lambda: star_chain(20, 5),
-    ], ids=["star-centre-mid-range", "broom", "star_chain"])
+        lambda: star_chain(700, 5), lambda: star(3000), lambda: _centre_mid_range(3000),
+    ], ids=["star-centre-mid-range", "broom", "star_chain",
+            "star_chain-700", "star-3000", "star-centre-mid-range-3000"])
     def test_families(self, make):
         _assert_totals_and_text(make())
+
+    def test_leaf_counts_share_their_neighbours_conversion(self, monkeypatch):
+        # star_chain(700, 5): 700 distinct counts past 600 digits, 350 of them leaves'
+        converted = []
+        monkeypatch.setattr(dp, "_int_text", lambda v: converted.append(v) or str(v))
+        stats = global_stats(star_chain(700, 5))
+        long_counts = {c for c in stats.containment if len(str(c)) > 600}
+        doc = stats.to_json_dict()
+        assert doc["containment"] == [str(c) for c in stats.containment]
+        assert len(long_counts) == 700 and len(long_counts.intersection(converted)) == 350
 
     def test_centre_mid_range_breaks_the_run(self):
         # vertex 0 is the root of the rerooting pass: a leaf with its own int,
@@ -364,16 +378,20 @@ class TestContainmentRuns:
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int-to-str digit limit")
-    def test_json_beyond_int_digit_limit(self):
-        # the centre's 2**15000 has 4,516 digits, past the default limit of 4,300
+    @pytest.mark.parametrize("digit_limit", [4300, 640])
+    def test_json_beyond_int_digit_limit(self, digit_limit):
+        # the centre's 2**15000 has 4,516 digits, past the default limit of 4,300;
+        # 640 is the lowest non-zero limit CPython allows
         stats = global_stats(star(15000))
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(0)
             lifted = stats.to_json_dict()
-            sys.set_int_max_str_digits(4300)
+            digits = {c: str(c) for c in set(stats.containment)}
+            assert lifted["containment"] == [digits[c] for c in stats.containment]
+            sys.set_int_max_str_digits(digit_limit)
             assert stats.to_json_dict() == lifted
-            assert sys.get_int_max_str_digits() == 4300
+            assert sys.get_int_max_str_digits() == digit_limit
         finally:
             sys.set_int_max_str_digits(limit)
 
